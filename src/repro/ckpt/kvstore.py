@@ -58,14 +58,34 @@ class InMemoryKVStore(CheckpointBackend):
         self._data: Dict[str, bytes] = {}
         self._meta: Dict[str, StoredEntry] = {}
 
+    @staticmethod
+    def _nodes(node) -> Tuple[int, ...]:
+        return (node,) if isinstance(node, int) else tuple(node)
+
     def _write(self, key: str, payload, stamp: int, node) -> None:
-        nodes = (node,) if isinstance(node, int) else tuple(node)
         # The memory tier *retains* the payload, so a frame rope (which
         # aliases caller arrays) or a pooled staging view (whose buffer
         # is reused) must be materialized here — the tier's one copy.
         data = payload_bytes(payload)
         self._data[key] = data
-        self._meta[key] = StoredEntry(key=key, stamp=stamp, nbytes=len(data), nodes=nodes)
+        self._meta[key] = StoredEntry(
+            key=key, stamp=stamp, nbytes=len(data), nodes=self._nodes(node)
+        )
+
+    def restamp(self, key: str, stamp: int, nodes) -> int:
+        """Relabel the retained payload of ``key`` as captured at ``stamp``
+        on ``nodes``; metadata only, the bytes stay as they are.  Returns
+        the payload's size, as a put would.
+
+        For a snapshot whose source state has not changed since it was
+        materialized: re-putting it would store identical bytes.
+        """
+        if key not in self._meta:
+            raise KVStoreError(key)
+        meta = self._meta[key]
+        meta.stamp = stamp
+        meta.nodes = self._nodes(nodes)
+        return meta.nbytes
 
     def _read(self, key: str) -> bytes:
         if key not in self._data:

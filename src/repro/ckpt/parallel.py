@@ -56,6 +56,7 @@ import hashlib
 import multiprocessing
 import os
 import queue as queue_module
+import threading
 import time
 import warnings
 import weakref
@@ -504,6 +505,14 @@ class ChunkWorkerPool:
         self._next_id = 0
         self._started = False
         self._closed = False
+        # Several threads may collect at once (restore lanes over one
+        # store) while all results arrive on one queue.  One collector at
+        # a time reads the queue and files every result here by task id;
+        # the others wait on the condition for theirs.
+        self._submit_lock = threading.Lock()
+        self._mail = threading.Condition()
+        self._mailbox: Dict[int, tuple] = {}
+        self._reading = False
 
     # -- lifecycle ------------------------------------------------------
     def _spawn_one(self) -> multiprocessing.Process:
@@ -548,6 +557,9 @@ class ChunkWorkerPool:
                 q.cancel_join_thread()
         self._tasks = self._results = None
         self._started = False
+        with self._mail:
+            self._mailbox.clear()
+            self._mail.notify_all()
 
     def close(self) -> None:
         if self._closed:
@@ -567,42 +579,66 @@ class ChunkWorkerPool:
 
     # -- batched request/response --------------------------------------
     def submit(self, kind: str, *payload) -> int:
-        self.start()
-        task_id = self._next_id
-        self._next_id += 1
-        self._tasks.put((kind, task_id) + payload)
+        with self._submit_lock:
+            self.start()
+            task_id = self._next_id
+            self._next_id += 1
+            self._tasks.put((kind, task_id) + payload)
         _POOL_TASKS.labels(kind=kind).inc()
         return task_id
 
     def collect(self, task_ids: Sequence[int]) -> Dict[int, tuple]:
-        """Gather results for ``task_ids``, watching worker liveness."""
+        """Gather results for ``task_ids``, watching worker liveness.
+
+        Safe under concurrent callers: whoever holds the queue files
+        every result it reads into the mailbox, including other callers'
+        results, and wakes them.
+        """
         pending = set(task_ids)
         gathered: Dict[int, tuple] = {}
         deadline = time.monotonic() + _DEADLINE_SECONDS
-        while pending:
-            # Deadline first, every iteration: a stream of stale results
-            # for other batches' task_ids keeps the queue non-empty, so
-            # checking only in the Empty branch could spin forever.
-            if time.monotonic() > deadline:
-                _POOL_DEADLINE_EXCEEDED.inc()
-                raise WorkerPoolError("worker pool wedged: batch deadline exceeded")
+        while True:
+            with self._mail:
+                for task_id in pending.intersection(self._mailbox):
+                    result = self._mailbox.pop(task_id)
+                    if result[0] == "error":
+                        raise WorkerPoolError(f"worker task failed: {result[2]}")
+                    gathered[task_id] = result
+                pending.difference_update(gathered)
+                if not pending:
+                    return gathered
+                # Deadline every iteration: other callers' results keep
+                # arriving, so checking only on an empty queue could spin.
+                if time.monotonic() > deadline:
+                    _POOL_DEADLINE_EXCEEDED.inc()
+                    raise WorkerPoolError("worker pool wedged: batch deadline exceeded")
+                if self._reading:
+                    self._mail.wait(_HEARTBEAT_SECONDS)
+                    continue
+                results = self._results
+                if results is None:
+                    raise WorkerPoolError("pool is closed")
+                self._reading = True
+            result = None
             try:
-                result = self._results.get(timeout=_HEARTBEAT_SECONDS)
+                result = results.get(timeout=_HEARTBEAT_SECONDS)
             except queue_module.Empty:
+                pass
+            except (OSError, ValueError) as exc:  # closed under us
+                raise WorkerPoolError(f"result queue failed: {exc}") from exc
+            finally:
+                with self._mail:
+                    self._reading = False
+                    if result is not None:
+                        self._mailbox[result[1]] = result
+                    self._mail.notify_all()
+            if result is None:
                 _POOL_HEARTBEAT_TIMEOUTS.inc()
                 if self.alive() < len(self._procs):
                     _POOL_WORKER_DEATHS.inc(len(self._procs) - self.alive())
                     raise WorkerPoolError(
                         f"worker died mid-batch ({self.alive()}/{len(self._procs)} alive)"
                     )
-                continue
-            if result[0] == "error":
-                raise WorkerPoolError(f"worker task failed: {result[2]}")
-            task_id = result[1]
-            if task_id in pending:
-                pending.remove(task_id)
-                gathered[task_id] = result
-        return gathered
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -152,6 +152,27 @@ class RecoveryResult:
     restore_stats: Optional[RestoreStats] = None
 
 
+class _Persisted(NamedTuple):
+    """The persist tier's last written version of one key."""
+
+    digest: str
+    nbytes: int
+    stamp: int
+    #: Optimizer version the entry was built from (None for meta entries).
+    version: Optional[int]
+
+
+class _Planned(NamedTuple):
+    """One entry a checkpoint saves: its key, its parameter, the function
+    that copies it off the optimizer, and its expert (None for a
+    non-expert parameter)."""
+
+    key: str
+    name: str
+    build: Callable[[str], Dict[str, np.ndarray]]
+    expert: Optional[ExpertKey]
+
+
 class MoCCheckpointManager:
     """Two-level PEC checkpointing for a live model + optimizer pair.
 
@@ -166,8 +187,9 @@ class MoCCheckpointManager:
     config:
         Full MoC configuration.
     memory_store / disk_store:
-        The snapshot and persist tiers — any
-        :class:`~repro.ckpt.backend.CheckpointBackend` pair.
+        The snapshot tier (an :class:`~repro.ckpt.kvstore.InMemoryKVStore`,
+        which can restamp retained entries) and the persist tier (any
+        :class:`~repro.ckpt.backend.CheckpointBackend`).
     backend:
         When building the persist tier from ``disk_root``: one of
         ``"memory"``, ``"disk"``, ``"sharded"``
@@ -202,14 +224,24 @@ class MoCCheckpointManager:
         elastic resume can reshard onto a different layout, and the
         expert placement is derived from it.
     delta_saves:
-        Skip persist-tier writes for entries whose content digest is
-        unchanged since their last persisted version (the PEC synergy:
-        a selected-but-untouched expert costs zero bytes).  The skip
-        never re-serializes — digests are computed straight off the
-        arrays — and skipped entries are reported on the manifest's
-        ``persist_skipped`` records.  The digest cache is dropped on
-        any write/flush failure and on recovery, so a skip can never
-        trust bytes that were discarded by a failed async pipeline.
+        Skip persist-tier writes for entries unchanged since their last
+        persisted version (the PEC synergy: a selected-but-untouched
+        expert costs zero bytes).  The test is version first, digest
+        second: an entry whose parameter's
+        :attr:`~repro.models.optim.Adam.versions` counter has not moved
+        since it was written is skipped before it is copied, framed or
+        hashed; a changed one is framed and skipped only when its
+        content digest still matches.  Skipped entries are reported on
+        the manifest's ``persist_skipped`` records.  The cache behind
+        both tests is dropped on any write/flush failure and on
+        recovery, so a skip can never trust bytes that were discarded
+        by a failed async pipeline.
+
+    Independently of ``delta_saves``, a snapshot-tier entry whose
+    version has not moved since it was materialized, and which survived
+    every node fault since, is restamped in place instead of rebuilt.
+    Each entry a checkpoint needs is built (copied off the optimizer)
+    once and shared by both tiers.
     """
 
     def __init__(
@@ -276,6 +308,25 @@ class MoCCheckpointManager:
 
         self._expert_params: Dict[ExpertKey, List[str]] = expert_param_names(model)
         self._non_expert_params: List[str] = non_expert_param_names(model)
+        # Every entry a checkpoint can save, keyed once: each non-expert
+        # parameter, and per expert parameter its (":w", ":o") pair.
+        # ``_plan_entries`` only selects from these.
+        self._non_expert_planned = [
+            _Planned(non_expert_entry_key(name), name, self._full_entry, None)
+            for name in self._non_expert_params
+        ]
+        self._expert_planned: Dict[ExpertKey, List[Tuple[_Planned, _Planned]]] = {
+            expert_key: [
+                (
+                    _Planned(expert_entry_key(expert_key, name) + ":w", name,
+                             self._weights_entry, expert_key),
+                    _Planned(expert_entry_key(expert_key, name) + ":o", name,
+                             self._optimizer_entry, expert_key),
+                )
+                for name in names
+            ]
+            for expert_key, names in self._expert_params.items()
+        }
         moe_layers = model.moe_layers()
         self.num_moe_layers = len(moe_layers)
         self.num_experts = moe_layers[0].num_experts if moe_layers else 0
@@ -314,9 +365,11 @@ class MoCCheckpointManager:
         self.checkpoint_count = 0
         self.manifests: List[CheckpointManifest] = []
         self.delta_saves = delta_saves
-        # key -> (content digest, nbytes, stamp) of the last *written*
-        # persist-tier version; the delta-save skip compares against it.
-        self._persist_digests: Dict[str, tuple] = {}
+        # key -> the last *written* persist-tier version; the delta-save
+        # skip compares against it.
+        self._persist_digests: Dict[str, _Persisted] = {}
+        # key -> optimizer version its retained snapshot was built from.
+        self._snapshot_versions: Dict[str, int] = {}
         # Persist-pipeline byte meters (serialized / hashed / copied) and
         # the per-save breakdown ``demo --profile`` renders.  Digests are
         # computed at the persist tier's chunk granularity so the dedup
@@ -383,6 +436,7 @@ class MoCCheckpointManager:
                 # Optimizer-only restore: the master copy governs the
                 # parameter value going forward (mixed-precision rule).
                 param.data = state.master.copy()
+        self.optimizer.bump_version(param_name)
 
     # ------------------------------------------------------------------
     # Routing / PLT feed
@@ -428,27 +482,10 @@ class MoCCheckpointManager:
             for layer in range(self.num_moe_layers)
             for expert in range(self.num_experts)
         }
-        snapshot_items: List = []
-        persist_items: List = []
-        for name in self._non_expert_params:
-            key = non_expert_entry_key(name)
-            entry = self._encode(self._full_entry(name))
-            snapshot_items.append((key, entry, iteration, 0))
-            persist_items.append((key, entry, iteration, 0))
-        for expert_key in sorted(all_experts):
-            node = self._expert_nodes(expert_key)
-            for name in self._expert_params[expert_key]:
-                w_key = expert_entry_key(expert_key, name) + ":w"
-                o_key = expert_entry_key(expert_key, name) + ":o"
-                w_entry = self._encode(self._weights_entry(name))
-                o_entry = self._encode(self._optimizer_entry(name))
-                for key, entry in ((w_key, w_entry), (o_key, o_entry)):
-                    snapshot_items.append((key, entry, iteration, node))
-                    persist_items.append((key, entry, iteration, 0))
-        with _span("snapshot-save", entries=len(snapshot_items)):
-            sizes = self.memory_store.put_many(snapshot_items)
-        self._record(manifest.snapshot_entries, snapshot_items, sizes)
-        self._persist_batch(manifest, persist_items)
+        planned = self._plan_entries(all_experts, all_experts)
+        built: Dict[str, Dict[str, np.ndarray]] = {}
+        self._snapshot_save(manifest, iteration, planned, built)
+        self._persist_save(manifest, iteration, planned, built)
         self._persist_topology(iteration)
         meta_key = meta_entry_key("iteration")
         self.memory_store.put(meta_key, {"iteration": np.asarray(iteration)}, stamp=iteration)
@@ -479,30 +516,18 @@ class MoCCheckpointManager:
         manifest = CheckpointManifest(
             checkpoint_index=self.checkpoint_count, iteration=iteration
         )
-
-        # --- snapshot tier (GPU -> CPU memory) -------------------------
-        snapshot_items: List = []
-        for name in self._non_expert_params:
-            key = non_expert_entry_key(name)
-            snapshot_items.append((key, self._encode(self._full_entry(name)), iteration, 0))
+        # Plan both tiers' key lists first; each entry is then built at
+        # most once and the same dict serves both tiers.
         snapshot_weight_experts = self._component_experts(plan, "weights", tier="snapshot")
         snapshot_moment_experts = self._component_experts(plan, "moments", tier="snapshot")
-        for expert_key in sorted(snapshot_weight_experts | snapshot_moment_experts):
-            node = self._expert_nodes(expert_key)
-            for name in self._expert_params[expert_key]:
-                if expert_key in snapshot_weight_experts:
-                    key = expert_entry_key(expert_key, name) + ":w"
-                    snapshot_items.append(
-                        (key, self._encode(self._weights_entry(name)), iteration, node)
-                    )
-                if expert_key in snapshot_moment_experts:
-                    key = expert_entry_key(expert_key, name) + ":o"
-                    snapshot_items.append(
-                        (key, self._encode(self._optimizer_entry(name)), iteration, node)
-                    )
-        with _span("snapshot-save", entries=len(snapshot_items)):
-            sizes = self.memory_store.put_many(snapshot_items)
-        self._record(manifest.snapshot_entries, snapshot_items, sizes)
+        persist_weight_experts = self._component_experts(plan, "weights", tier="persist")
+        persist_moment_experts = self._component_experts(plan, "moments", tier="persist")
+        snapshot_planned = self._plan_entries(snapshot_weight_experts, snapshot_moment_experts)
+        persist_planned = self._plan_entries(persist_weight_experts, persist_moment_experts)
+        built: Dict[str, Dict[str, np.ndarray]] = {}
+
+        # --- snapshot tier (GPU -> CPU memory) -------------------------
+        self._snapshot_save(manifest, iteration, snapshot_planned, built)
         meta_key = meta_entry_key("iteration")
         self.memory_store.put(meta_key, {"iteration": np.asarray(iteration)}, stamp=iteration)
         self.plt_tracker.record_save(
@@ -514,25 +539,7 @@ class MoCCheckpointManager:
         # pipeline and drains while training computes.  The meta entry
         # goes last so a durable meta stamp implies its checkpoint's
         # entries were accepted before it.
-        persist_items: List = []
-        for name in self._non_expert_params:
-            key = non_expert_entry_key(name)
-            persist_items.append((key, self._encode(self._full_entry(name)), iteration, 0))
-        persist_weight_experts = self._component_experts(plan, "weights", tier="persist")
-        persist_moment_experts = self._component_experts(plan, "moments", tier="persist")
-        for expert_key in sorted(persist_weight_experts | persist_moment_experts):
-            for name in self._expert_params[expert_key]:
-                if expert_key in persist_weight_experts:
-                    key = expert_entry_key(expert_key, name) + ":w"
-                    persist_items.append(
-                        (key, self._encode(self._weights_entry(name)), iteration, 0)
-                    )
-                if expert_key in persist_moment_experts:
-                    key = expert_entry_key(expert_key, name) + ":o"
-                    persist_items.append(
-                        (key, self._encode(self._optimizer_entry(name)), iteration, 0)
-                    )
-        self._persist_batch(manifest, persist_items)
+        self._persist_save(manifest, iteration, persist_planned, built)
         # Topology before the iteration meta: the iteration entry is the
         # commit record, so a durable stamp implies the topology (and
         # every state entry) of its checkpoint was accepted first.
@@ -590,37 +597,108 @@ class MoCCheckpointManager:
         carrying the manager's pipeline meters."""
         return PayloadFrames.from_entry(entry, meters=self.pipeline_meters)
 
-    def _persist_batch(self, manifest: CheckpointManifest, items: List) -> None:
+    def _plan_entries(
+        self, weight_experts: Set[ExpertKey], moment_experts: Set[ExpertKey]
+    ) -> List[_Planned]:
+        """The entries one tier saves, in key order: every non-expert
+        parameter, then the selected components of the selected experts."""
+        planned = list(self._non_expert_planned)
+        for expert_key in sorted(weight_experts | moment_experts):
+            weights, moments = expert_key in weight_experts, expert_key in moment_experts
+            for weights_entry, moments_entry in self._expert_planned[expert_key]:
+                if weights:
+                    planned.append(weights_entry)
+                if moments:
+                    planned.append(moments_entry)
+        return planned
+
+    def _entry(
+        self, built: Dict[str, Dict[str, np.ndarray]], planned: _Planned
+    ) -> Dict[str, np.ndarray]:
+        """This checkpoint's one copy of ``planned``'s entry, built on first use."""
+        entry = built.get(planned.key)
+        if entry is None:
+            entry = built[planned.key] = self._encode(planned.build(planned.name))
+        return entry
+
+    def _snapshot_save(
+        self, manifest: CheckpointManifest, iteration: int,
+        planned: List[_Planned], built: Dict[str, Dict[str, np.ndarray]],
+    ) -> None:
+        """Write the snapshot tier, restamping clean entries in place.
+
+        An entry is clean when its parameter's optimizer version equals
+        the one its retained payload was built from and the payload
+        survived every node fault since: rebuilding it would store the
+        same bytes, so only its stamp and nodes move.  The manifest
+        records are the same either way.
+        """
+        versions = self.optimizer.versions
+        store = self.memory_store
+        items: List = []
+        fresh: List[tuple] = []
+        sizes: List[Optional[int]] = []
+        for entry in planned:
+            node = self._expert_nodes(entry.expert) if entry.expert is not None else 0
+            version = versions[entry.name]
+            if self._snapshot_versions.get(entry.key) == version and store.has(entry.key):
+                sizes.append(store.restamp(entry.key, iteration, node))
+                continue
+            items.append((entry.key, self._entry(built, entry), iteration, node))
+            fresh.append((entry.key, version))
+            sizes.append(None)
+        with _span("snapshot-save", entries=len(items)):
+            written = iter(store.put_many(items))
+        self._snapshot_versions.update(fresh)
+        for entry, nbytes in zip(planned, sizes):
+            manifest.snapshot_entries.append(ManifestRecord(
+                entry.key, iteration, nbytes if nbytes is not None else next(written)
+            ))
+
+    def _persist_save(
+        self, manifest: CheckpointManifest, iteration: int,
+        planned: List[_Planned], built: Dict[str, Dict[str, np.ndarray]],
+    ) -> None:
         """Write a persist-tier batch, delta-skipping unchanged content.
 
-        Entries are serialized once into zero-copy frame ropes.  With
-        ``delta_saves`` on, each rope's content digest is derived from
-        its chunk digests (at the persist tier's chunk granularity) —
-        one SHA-256 sweep that the dedup backend then *reuses* for
-        chunk addressing, instead of a second hashing pass.  Entries
-        whose digest matches their last written version are dropped
-        from the batch and recorded on ``manifest.persist_skipped``
-        (with the stored version's stamp and size — what the skip
-        relies on).  Any write failure drops the whole digest cache: a
-        deferred async error discards queued writes, so nothing
-        accepted after the failure may be skipped on the strength of a
-        stale digest.
+        With ``delta_saves`` on, the skip test is version first, digest
+        second.  An entry whose optimizer version equals the one it was
+        last written at is skipped before it is built, framed or
+        hashed.  Any other entry is serialized into a zero-copy frame
+        rope whose content digest is derived from its chunk digests (at
+        the persist tier's chunk granularity) — one SHA-256 sweep that
+        the dedup backend then *reuses* for chunk addressing — and is
+        still skipped when that digest matches its last written
+        version.  Skips land on ``manifest.persist_skipped`` with the
+        stored version's stamp and size, what the skip relies on.  Any
+        write failure drops the whole cache: a deferred async error
+        discards queued writes, so nothing accepted after the failure
+        may be skipped on the strength of a stale record.
         """
-        digests: List[str] = []
+        versions = self.optimizer.versions
         payload_items: List = []
-        with _span("persist-serialize", items=len(items)):
-            for key, entry, stamp, node in items:
-                frames = self._frames(entry)
+        written: List[tuple] = []
+        with _span("persist-serialize", items=len(planned)):
+            for entry in planned:
+                version = versions[entry.name]
+                prev = self._persist_digests.get(entry.key) if self.delta_saves else None
+                if prev is not None and prev.version == version:
+                    manifest.persist_skipped.append(
+                        ManifestRecord(entry.key, prev.stamp, prev.nbytes)
+                    )
+                    continue
+                frames = self._frames(self._entry(built, entry))
+                digest = None
                 if self.delta_saves:
                     digest = frames.entry_digest(self._digest_chunk_bytes)
-                    prev = self._persist_digests.get(key)
-                    if prev is not None and prev[0] == digest:
+                    if prev is not None and prev.digest == digest:
+                        self._persist_digests[entry.key] = prev._replace(version=version)
                         manifest.persist_skipped.append(
-                            ManifestRecord(key, prev[2], prev[1])
+                            ManifestRecord(entry.key, prev.stamp, prev.nbytes)
                         )
                         continue
-                    digests.append(digest)
-                payload_items.append((key, frames, stamp, node))
+                payload_items.append((entry.key, frames, iteration, 0))
+                written.append((digest, version))
         try:
             with _span("persist-save", entries=len(payload_items)):
                 sizes = self.disk_store.put_many_serialized(payload_items)
@@ -629,10 +707,10 @@ class MoCCheckpointManager:
             raise
         self._record(manifest.persist_entries, payload_items, sizes)
         if self.delta_saves:
-            for (key, _frames, stamp, _node), digest, nbytes in zip(
-                payload_items, digests, sizes
+            for (key, _frames, _stamp, _node), (digest, version), nbytes in zip(
+                payload_items, written, sizes
             ):
-                self._persist_digests[key] = (digest, nbytes, stamp)
+                self._persist_digests[key] = _Persisted(digest, nbytes, iteration, version)
 
     def _persist_put_frames(self, key: str, frames: PayloadFrames, stamp: int) -> int:
         """Single persist-tier put holding THE digest-cache failure rule:
@@ -659,10 +737,10 @@ class MoCCheckpointManager:
             frames = self._frames(entry)
             digest = frames.entry_digest(self._digest_chunk_bytes)
             prev = self._persist_digests.get(key)
-            if prev is not None and prev[0] == digest:
+            if prev is not None and prev.digest == digest:
                 return
             nbytes = self._persist_put_frames(key, frames, iteration)
-            self._persist_digests[key] = (digest, nbytes, iteration)
+            self._persist_digests[key] = _Persisted(digest, nbytes, iteration, None)
             return
         self._persist_put(key, entry, iteration)
 

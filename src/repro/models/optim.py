@@ -11,6 +11,14 @@ byte accounting distinguishes (Section 2.3 / Figure 2):
 ``state_dict``/``load_state_dict`` round-trip all of it keyed by the
 parameter name, which is what the checkpoint layer shards and what PEC
 selectively drops.
+
+``versions`` counts, per parameter, how often its arrays were rebound.
+Every writer bumps it: :meth:`Adam.step` (only for parameters that had a
+gradient), :meth:`Adam.load_state_dict` and anything calling
+:meth:`Adam.bump_version`.  ``Adam`` rebinds arrays rather than writing
+them in place, so an unchanged version means unchanged content, and the
+checkpoint manager skips clean state on that evidence without copying
+or hashing it.
 """
 
 from __future__ import annotations
@@ -69,6 +77,16 @@ class Adam:
             )
             for name, p in self.params.items()
         }
+        self.versions: Dict[str, int] = dict.fromkeys(self.params, 0)
+
+    def bump_version(self, name: str) -> None:
+        """Record that ``name``'s weights or optimizer state changed.
+
+        Code that rebinds or mutates a parameter's arrays outside
+        :meth:`step` / :meth:`load_state_dict` must call this, or the
+        checkpoint manager treats the old content as still current.
+        """
+        self.versions[name] += 1
 
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
@@ -106,6 +124,7 @@ class Adam:
             v_hat = state.v / (1 - self.beta2**state.step)
             state.master = state.master - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             p.data = state.master.copy()
+            self.versions[name] += 1
 
     # ------------------------------------------------------------------
     # Checkpoint interface
@@ -136,6 +155,7 @@ class Adam:
             s.v = np.array(entry["v"], dtype=np.float64)
             s.step = int(np.asarray(entry["step"]).reshape(-1)[0])
             self.params[name].data = s.master.copy()
+            self.versions[name] += 1
 
     def load_param_entry(self, name: str, entry: Dict[str, np.ndarray]) -> None:
         """Restore a single parameter's weights + optimizer state."""

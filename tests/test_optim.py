@@ -1,10 +1,12 @@
-"""Adam optimizer tests: update math, state round-trips, clipping."""
+"""Adam optimizer tests: update math, state round-trips, clipping, and the
+change versions (plus the snapshot-tier restamp the manager pairs them with)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.ckpt import InMemoryKVStore, KVStoreError
 from repro.models.autograd import Parameter
 from repro.models.optim import Adam, AdamParamState
 
@@ -155,3 +157,64 @@ class TestAdamParamState:
         clone = state.copy()
         clone.master[0] = 5.0
         assert state.master[0] == 0.0
+
+
+class TestVersions:
+    """The change counter the checkpoint manager skips clean state on."""
+
+    def test_step_bumps_only_params_with_a_grad(self):
+        p, q = make_param([1.0]), make_param([2.0])
+        opt = Adam([("p", p), ("q", q)], lr=0.1)
+        assert opt.versions == {"p": 0, "q": 0}
+        p.grad = np.array([1.0])
+        opt.step()
+        assert opt.versions == {"p": 1, "q": 0}
+        q.grad = np.array([1.0])
+        opt.step()
+        assert opt.versions == {"p": 2, "q": 1}
+        opt.zero_grad()
+        opt.step()
+        assert opt.versions == {"p": 2, "q": 1}
+
+    def test_load_state_dict_bumps_every_loaded_name(self):
+        p, q, r = make_param([1.0]), make_param([2.0]), make_param([3.0])
+        opt = Adam([("p", p), ("q", q), ("r", r)])
+        saved = opt.state_dict()
+        opt.load_state_dict(saved)
+        assert opt.versions == {"p": 1, "q": 1, "r": 1}
+        opt.load_state_dict({"q": saved["q"]}, strict=False)
+        opt.load_param_entry("r", saved["r"])
+        assert opt.versions == {"p": 1, "q": 2, "r": 2}
+
+    def test_bump_version_marks_an_outside_write(self):
+        p = make_param([1.0])
+        opt = Adam([("p", p)])
+        p.data += 1.0
+        opt.bump_version("p")
+        assert opt.versions["p"] == 1
+
+
+class TestInMemoryRestamp:
+    def test_restamp_keeps_payload_and_size_and_moves_stamp_and_nodes(self):
+        store = InMemoryKVStore()
+        store.put("k", {"x": np.arange(4.0)}, stamp=3, node=(0, 1))
+        payload, nbytes = store._read("k"), store.nbytes_of("k")
+        written = store.bytes_written
+        assert store.restamp("k", 7, 2) == nbytes
+        assert store.stamp_of("k") == 7
+        assert store.nodes_of("k") == (2,)
+        assert store.nbytes_of("k") == nbytes
+        assert store._read("k") is payload  # metadata only: same bytes object
+        assert store.bytes_written == written
+        store.restamp("k", 8, [0, 2])
+        assert store.nodes_of("k") == (0, 2)
+        assert np.array_equal(store.get("k")["x"], np.arange(4.0))
+
+    def test_restamp_missing_key_raises(self):
+        store = InMemoryKVStore()
+        with pytest.raises(KVStoreError):
+            store.restamp("absent", 1, 0)
+        store.put("k", {"x": np.ones(2)}, stamp=1, node=0)
+        store.drop_node(0)
+        with pytest.raises(KVStoreError):
+            store.restamp("k", 2, 0)

@@ -22,6 +22,8 @@ Four properties this suite exists to hold:
 from __future__ import annotations
 
 import multiprocessing.shared_memory as shared_memory
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,12 +32,15 @@ from repro.ckpt import (
     AsyncWriteBackend,
     DedupBackend,
     ParallelChunkEngine,
+    ParallelRestorer,
     PayloadFrames,
     PipelineMeters,
+    ReadRequest,
     SharedStagingPool,
     chunk_digest,
     chunk_payload,
     decode_chunk_file,
+    encode_chunk_file,
     make_chunk_codec,
     serialize_entry,
 )
@@ -365,6 +370,93 @@ class TestDedupComposition:
         store.close()
 
 
+def run_concurrently(work, threads: int = 2, timeout: float = 30.0) -> None:
+    """Run ``work(index)`` on ``threads`` threads; fail if any hangs or raises.
+
+    A hang is what mis-delivered pool results look like: the collector
+    that owns a swallowed result waits for it until the batch deadline.
+    """
+    errors = []
+
+    def body(index):
+        try:
+            work(index)
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    runners = [
+        threading.Thread(target=body, args=(index,), daemon=True)
+        for index in range(threads)
+    ]
+    # Frequent thread switches interleave the collectors as finely as
+    # the interpreter allows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners), (
+        "a collector hung: another caller took its results off the queue"
+    )
+    assert not errors, errors
+
+
+class TestConcurrentCollectors:
+    """Regression: ``ChunkWorkerPool.collect`` used to drop results for
+    task ids it did not own, so two callers sharing one pool (two restore
+    lanes over one dedup store) swallowed each other's results and hung
+    until the batch deadline.  Foreign results now wait in a mailbox."""
+
+    ROUNDS = 10
+    #: More collectors than the pool has workers.
+    THREADS = 3
+
+    def test_concurrent_decode_chunks_get_their_own_results(self):
+        codec = make_chunk_codec("zlib")
+        cases = []
+        for seed in range(self.THREADS):
+            raw = chunk_payload(serialize_entry(compressible_entry(4096, seed=seed)), CHUNK)
+            bodies = [encode_chunk_file(codec, [chunk]) for chunk in raw]
+            cases.append((
+                [body for body in bodies if body is not None],
+                [chunk for chunk, body in zip(raw, bodies) if body is not None],
+            ))
+        with ParallelChunkEngine(WORKERS, codec=codec, arena_bytes=1 << 16) as engine:
+
+            def decode(index):
+                bodies, expected = cases[index]
+                for _ in range(self.ROUNDS):
+                    assert engine.decode_chunks(bodies) == expected
+
+            run_concurrently(decode, threads=self.THREADS)
+            assert engine.enabled, engine.fallback_reason
+
+    def test_two_restore_lanes_over_one_dedup_store(self, tmp_path):
+        store = DedupBackend(
+            str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=WORKERS
+        )
+        try:
+            cases = {f"k{i}": compressible_entry(4096, seed=i) for i in range(8)}
+            for key, case in cases.items():
+                store.put(key, case, stamp=1)
+            requests = [ReadRequest(key=key, store=store) for key in cases]
+
+            def restore(_index):
+                for _ in range(self.ROUNDS // 2):
+                    entries, _stats = ParallelRestorer(workers=2).fetch(requests)
+                    for key, case in cases.items():
+                        assert np.array_equal(entries[key]["x"], case["x"]), key
+
+            run_concurrently(restore)
+            assert store.engine.enabled, store.engine.fallback_reason
+        finally:
+            store.close()
+
+
 class TestManagerMeterInvariants:
     """The acceptance invariants, measured on the live manager with
     ``parallel_workers > 1``: one hash pass, ≤1 staging copy, ≤1
@@ -386,8 +478,9 @@ class TestManagerMeterInvariants:
         manager.save_initial(0)
         rng = np.random.default_rng(0)
         for iteration in iterations:
-            for _name, param in model.named_parameters():
+            for name, param in model.named_parameters():
                 param.data += rng.standard_normal(param.data.shape) * 0.01
+                optimizer.bump_version(name)  # an in-place write outside Adam
             manager.note_routing(
                 [np.full(manager.num_experts, 2)] * manager.num_moe_layers
             )

@@ -162,8 +162,9 @@ class TestMeterRegression:
         manager.save_initial(0)
         rng = np.random.default_rng(0)
         for iteration in iterations:
-            for _name, param in model.named_parameters():
+            for name, param in model.named_parameters():
                 param.data += rng.standard_normal(param.data.shape) * 0.01
+                optimizer.bump_version(name)  # an in-place write outside Adam
             manager.note_routing(
                 [np.full(manager.num_experts, 2)] * manager.num_moe_layers
             )
@@ -231,15 +232,17 @@ class TestMeterRegression:
                 [np.full(manager.num_experts, 2)] * manager.num_moe_layers
             )
             written = manager.disk_store.bytes_written
+            before = manager.pipeline_meters.snapshot()
             manifest = manager.checkpoint(2)  # nothing changed
             assert manifest.persist_skipped
             assert not manifest.persist_entries
             meters = manager.pipeline_meters.snapshot()
-            # skipped entries cost their digest sweep, nothing else —
-            # only the iteration commit record (whose stamp content
-            # does change) hits the store
             assert meters["bytes_hashed"] == meters["bytes_serialized"]
+            # no optimizer version moved, so the skipped entries were
+            # never framed or hashed: only the iteration commit record
+            # (whose stamp content does change) is serialized and stored
             meta_bytes = manager.disk_store.nbytes_of("meta:iteration")
+            assert meters["bytes_serialized"] - before["bytes_serialized"] == meta_bytes
             assert manager.disk_store.bytes_written == written + meta_bytes
 
 
