@@ -9,16 +9,18 @@ payload bytes are **never pickled**:
 
 .. code-block:: text
 
-            caller thread                      worker processes
+      caller thread, per window of a batch         worker processes
    ┌──────────────────────────┐        ┌───────────────────────────┐
-   │ serialize → frame rope   │        │  attach(arena) once       │
+   │ serialize → frame ropes  │        │  attach(arena) once       │
    │ snapshot_into(SharedSlice)──────▶ │                           │
    │      (the ONE copy)      │ tasks  │  view = arena[off:off+n]  │
-   │ submit (seg, off, len) ──┼──────▶ │  sha256 over chunk slices │
-   │                          │        │  codec.encode → out region│
-   │ collect (idx, digest,    │ ◀──────┼─ (idx, rel_off, enc_len,  │
-   │   enc_len, byte counts)  │results │    cpu_s, bytes counted)  │
-   │ fold counts into meters  │        │                           │
+   │ digest round: submit all │        │                           │
+   │   (seg, off, len) spans ─┼──────▶ │  sha256 over chunk slices │
+   │   then collect once      │ ◀──────┼─ digests, bytes hashed    │
+   │ encode round: submit all │        │                           │
+   │   novel chunks ──────────┼──────▶ │  codec.encode → out region│
+   │   then collect once      │ ◀──────┼─ (rel_off, enc_len, raw,  │
+   │ fold counts into meters  │results │    cpu_s, bytes counted)  │
    │ write chunk files / refs │        └───────────────────────────┘
    └──────────────────────────┘
 
@@ -36,9 +38,12 @@ Components
   ≤1 compression pass per persisted byte) stay *measured* across the
   process boundary.
 * :class:`ParallelChunkEngine` — the orchestrator the dedup backend
-  calls: stages a payload once, splits its chunk range across workers,
-  seeds the rope's digest cache with the results, and hands back framed
-  encoded chunk bodies for exactly the novel chunks being persisted.
+  calls once per round of a window (a run of one batch's payloads):
+  stages each payload once, splits the window's chunks across workers
+  by bytes, seeds each rope's digest cache with the results, and hands
+  back framed encoded chunk bodies for exactly the novel chunks being
+  persisted.  Every worker is busy on a window's chunks at once,
+  instead of one worker on one small entry at a time.
 
 Graceful degradation
 --------------------
@@ -355,6 +360,21 @@ def _chunk_range_bytes(length: int, chunk_bytes: int, start: int, stop: int) -> 
     return start * chunk_bytes, min(length, stop * chunk_bytes)
 
 
+def _digest_spans(units) -> Tuple[List[list], List[int]]:
+    """Merge ``(owner, region, chunk index, _)`` units — in owner, then
+    index order — into one ``[segment, offset, length, start, stop]``
+    digest span per run of an owner's chunks, plus each span's owner."""
+    spans: List[list] = []
+    owners: List[int] = []
+    for owner, region, index, _ in units:
+        if owners and owners[-1] == owner:
+            spans[-1][4] = index + 1
+        else:
+            spans.append([region.segment, region.offset, region.nbytes, index, index + 1])
+            owners.append(owner)
+    return spans, owners
+
+
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -405,47 +425,47 @@ def _worker_main(tasks, results, codec_spec, dict_dir) -> None:
 
         try:
             if kind == "digest":
-                _, _, name, offset, length, chunk_bytes, start, stop = task
-                segment = _attach_segment(attachments, name)
-                lo, hi = _chunk_range_bytes(length, chunk_bytes, start, stop)
-                view = segment.buf[offset + lo:offset + hi]
-                digests = []
-                for pos in range(0, max(1, hi - lo), chunk_bytes) if hi > lo else [0]:
-                    chunk = view[pos:pos + chunk_bytes]
-                    digests.append(hashlib.sha256(chunk).hexdigest())
-                view.release()
+                # spans: (segment, offset, length, start, stop) chunk
+                # ranges, possibly of several payloads.
+                _, _, chunk_bytes, spans = task
+                parts = []
+                for name, offset, length, start, stop in spans:
+                    segment = _attach_segment(attachments, name)
+                    lo, hi = _chunk_range_bytes(length, chunk_bytes, start, stop)
+                    view = segment.buf[offset + lo:offset + hi]
+                    digests = []
+                    for pos in range(0, max(1, hi - lo), chunk_bytes) if hi > lo else [0]:
+                        chunk = view[pos:pos + chunk_bytes]
+                        digests.append(hashlib.sha256(chunk).hexdigest())
+                    view.release()
+                    parts.append((digests, hi - lo))
                 cpu = time.process_time() - started
-                results.put(
-                    ("digest", task_id, digests, hi - lo, cpu, task_span(hi - lo))
-                )
+                hashed = sum(nbytes for _, nbytes in parts)
+                results.put(("digest", task_id, parts, cpu, task_span(hashed)))
             elif kind == "encode":
-                (_, _, name, offset, length, chunk_bytes, indices,
-                 out_name, out_offset) = task
-                segment = _attach_segment(attachments, name)
+                # chunks: (segment, offset, length, index), possibly of
+                # several payloads; bodies are packed into the out region.
+                _, _, chunk_bytes, chunks, out_name, out_offset = task
                 out_segment = _attach_segment(attachments, out_name)
                 entries = []
                 raw_in = 0
-                enc_out = 0
                 cursor = 0
-                for index in indices:
+                for name, offset, length, index in chunks:
+                    segment = _attach_segment(attachments, name)
                     lo, hi = _chunk_range_bytes(length, chunk_bytes, index, index + 1)
                     chunk = segment.buf[offset + lo:offset + hi]
                     encoded = encode_chunk_file(codec, [chunk]) if codec else None
                     raw_in += hi - lo
                     if encoded is None:
-                        entries.append((index, -1, 0))
+                        entries.append((-1, 0, hi - lo))
                     else:
                         out_segment.buf[out_offset + cursor:
                                         out_offset + cursor + len(encoded)] = encoded
-                        entries.append((index, cursor, len(encoded)))
+                        entries.append((cursor, len(encoded), hi - lo))
                         cursor += len(encoded)
-                        enc_out += len(encoded)
                     chunk.release()
                 cpu = time.process_time() - started
-                results.put(
-                    ("encode", task_id, entries, raw_in, enc_out, cpu,
-                     task_span(raw_in))
-                )
+                results.put(("encode", task_id, entries, cpu, task_span(raw_in)))
             elif kind == "decode":
                 _, _, blobs = task
                 from .codec import decode_chunk_file
@@ -682,18 +702,21 @@ class _ScratchSegment:
 class ParallelChunkEngine:
     """Fan chunk digest/encode/decode work out to worker processes.
 
-    The dedup backend drives it per payload:
+    The dedup backend drives it per *window* — a run of a batch's
+    payloads — with one pool round trip per step, however many payloads
+    the window holds:
 
-    1. :meth:`chunk_digests` — stage the payload into shared memory if
+    1. :meth:`chunk_digests` — stage each payload into shared memory if
        it is not already there (the async pipeline's staging copy lands
-       in the same pool, so usually it is), split the chunk range
-       across workers, and seed the rope's digest cache with the
-       results.  Skipped entirely when the manager's delta-save sweep
-       already hashed the rope — one hash pass, wherever it runs.
+       in the same pool, so usually it is), split the window's chunks
+       across workers by bytes, and seed each rope's digest cache with
+       the results.  Payloads whose digests are already cached (the
+       manager's delta-save sweep) cost nothing — one hash pass,
+       wherever it runs.
     2. :meth:`encode_chunks` — compress exactly the novel chunk indices
-       into an output region; returns framed encoded file bodies (or
-       ``None`` per chunk for incompressible ones).
-    3. :meth:`finish` — release any staging the engine acquired for the
+       of every job into one output region; returns framed encoded file
+       bodies (or ``None`` per chunk for incompressible ones).
+    3. :meth:`finish` — release any staging the engine acquired for a
        payload.
 
     Any failure — spawn, worker death, poisoned segment — disables the
@@ -753,16 +776,31 @@ class ParallelChunkEngine:
         except Exception:  # pragma: no cover - best effort
             pass
 
-    def _plan(self, n_chunks: int) -> List[Tuple[int, int]]:
-        """Split ``n_chunks`` into ≤workers contiguous index ranges."""
-        tasks = min(self.workers, n_chunks)
-        base, extra = divmod(n_chunks, tasks)
-        ranges = []
-        start = 0
-        for index in range(tasks):
-            stop = start + base + (1 if index < extra else 0)
-            ranges.append((start, stop))
-            start = stop
+    def _plan(
+        self, n_items: int, sizes: Optional[Sequence[int]] = None
+    ) -> List[Tuple[int, int]]:
+        """Split ``n_items`` into ≤workers non-empty contiguous index
+        ranges of near-equal total ``sizes`` (one unit per item if
+        omitted).  No items, no ranges."""
+        tasks = min(self.workers, n_items)
+        if tasks <= 0:
+            return []
+        if sizes is None:
+            sizes = [1] * n_items
+        total = sum(sizes)
+        ranges: List[Tuple[int, int]] = []
+        start = filled = 0
+        for index, size in enumerate(sizes):
+            filled += size
+            cuts_left = tasks - 1 - len(ranges)
+            if (
+                cuts_left
+                and n_items - index - 1 >= cuts_left
+                and filled * tasks >= total * (len(ranges) + 1)
+            ):
+                ranges.append((start, index + 1))
+                start = index + 1
+        ranges.append((start, n_items))
         return ranges
 
     # -- staging --------------------------------------------------------
@@ -772,14 +810,19 @@ class ParallelChunkEngine:
         Payloads that came through the async pipeline's
         :class:`SharedStagingPool` already carry a region (zero extra
         copies); the sync path stages here — the one staging copy the
-        meter budget allows.
+        meter budget allows.  ``None`` when the arena is contended (not
+        worth blocking for) or poisoned (the engine is then disabled).
         """
         if payload.region is not None:
             return payload.region
-        slice_ = self.staging.try_acquire(payload.nbytes)
-        if slice_ is None:
-            return None  # arena contended: not worth blocking for
-        staged = payload.snapshot_into(slice_)  # counts bytes_copied
+        try:
+            slice_ = self.staging.try_acquire(payload.nbytes)
+            if slice_ is None:
+                return None
+            staged = payload.snapshot_into(slice_)  # counts bytes_copied
+        except Exception as exc:  # poisoned arena / segment
+            self._disable("shared-memory staging failed", exc)
+            return None
         self._staged[id(payload)] = slice_
         payload.region = staged.region
         return staged.region
@@ -792,85 +835,112 @@ class ParallelChunkEngine:
             self.staging.release(slice_)
 
     # -- digest ---------------------------------------------------------
-    def chunk_digests(self, payload: PayloadFrames, chunk_bytes: int) -> List[str]:
-        """Chunk digests of ``payload``, computed by the worker pool.
+    def chunk_digests(
+        self, payloads: Sequence[PayloadFrames], chunk_bytes: int
+    ) -> List[List[str]]:
+        """Chunk digests of each payload, from one worker-pool round trip.
 
-        Falls back to the rope's own single-sweep
-        :meth:`~repro.ckpt.serializer.PayloadFrames.chunk_digests` when
-        the engine is disabled, the payload is trivial, or anything
-        goes wrong mid-flight.  Either way the digests land in the
-        rope's cache — downstream layers cannot tell the difference.
+        Cached digests are returned as they are.  Payloads of at least
+        one chunk are staged and their chunks split across the workers
+        by bytes; the rest are hashed in-process by the rope's own
+        single-sweep :meth:`~repro.ckpt.serializer.PayloadFrames.
+        chunk_digests` while the workers run.  A disabled engine, a
+        contended arena or a failed round falls back the same way.
+        Either way the digests land in each rope's cache — downstream
+        layers cannot tell the difference.
         """
-        cached = payload.peek_digests(chunk_bytes)
-        if cached is not None:
-            return cached
-        if not self.enabled or payload.nbytes < chunk_bytes:
-            return payload.chunk_digests(chunk_bytes)
-        region = None
-        try:
+        digests: List[Optional[List[str]]] = [
+            payload.peek_digests(chunk_bytes) for payload in payloads
+        ]
+        units = []  # (payload position, region, chunk index, chunk bytes)
+        for pos, payload in enumerate(payloads):
+            if not self.enabled:
+                break
+            if digests[pos] is not None or payload.nbytes < chunk_bytes:
+                continue
             region = self._region_of(payload)
-        except Exception as exc:  # poisoned arena / segment
-            self._disable("shared-memory staging failed", exc)
-        if region is None:
-            return payload.chunk_digests(chunk_bytes)
-        n_chunks = (payload.nbytes + chunk_bytes - 1) // chunk_bytes
-        try:
-            ids = [
-                self.pool.submit(
-                    "digest", region.segment, region.offset, region.nbytes,
-                    chunk_bytes, start, stop,
+            if region is not None:
+                units.extend(
+                    (pos, region, index, min(chunk_bytes, payload.nbytes - offset))
+                    for index, offset in enumerate(range(0, payload.nbytes, chunk_bytes))
                 )
-                for start, stop in self._plan(n_chunks)
-            ]
+        if not self.enabled:  # staging poisoned mid-window
+            units = []
+        pooled = {unit[0] for unit in units}
+        ids: List[int] = []
+        owners: List[List[int]] = []
+        try:
+            for start, stop in self._plan(len(units), [unit[3] for unit in units]):
+                spans, span_owners = _digest_spans(units[start:stop])
+                ids.append(self.pool.submit("digest", chunk_bytes, spans))
+                owners.append(span_owners)
             self.tasks_dispatched += len(ids)
-            results = self.pool.collect(ids)
         except WorkerPoolError as exc:
             self._disable("digest fan-out failed", exc)
-            return payload.chunk_digests(chunk_bytes)
-        digests: List[str] = []
-        hashed = 0
-        for task_id in ids:
-            _, _, part, nbytes, cpu, wspans = results[task_id]
-            digests.extend(part)
-            hashed += nbytes
-            self.worker_cpu_seconds += cpu
-            self._merge_worker_spans(wspans)
-        payload.seed_digests(chunk_bytes, digests)
-        if payload.meters is not None:
-            payload.meters.count_hashed(hashed)
-        return digests
+            pooled = set()
+        # Hash what the pool does not while the pool works.
+        for pos, payload in enumerate(payloads):
+            if digests[pos] is None and pos not in pooled:
+                digests[pos] = payload.chunk_digests(chunk_bytes)
+        if pooled:
+            try:
+                results = self.pool.collect(ids)
+            except WorkerPoolError as exc:
+                self._disable("digest fan-out failed", exc)
+            else:
+                parts: Dict[int, List[str]] = {pos: [] for pos in pooled}
+                hashed = dict.fromkeys(pooled, 0)
+                for task_id, span_owners in zip(ids, owners):
+                    _, _, spans, cpu, wspans = results[task_id]
+                    self.worker_cpu_seconds += cpu
+                    self._merge_worker_spans(wspans)
+                    for pos, (part, nbytes) in zip(span_owners, spans):
+                        parts[pos].extend(part)
+                        hashed[pos] += nbytes
+                for pos, part in parts.items():
+                    payload = payloads[pos]
+                    payload.seed_digests(chunk_bytes, part)
+                    if payload.meters is not None:
+                        payload.meters.count_hashed(hashed[pos])
+                    digests[pos] = part
+        return [
+            found if found is not None else payload.chunk_digests(chunk_bytes)
+            for found, payload in zip(digests, payloads)
+        ]
 
     # -- encode ---------------------------------------------------------
     def encode_chunks(
-        self, payload: PayloadFrames, chunk_bytes: int, indices: Sequence[int]
-    ) -> Optional[Dict[int, Optional[bytes]]]:
-        """Encode the chunks at ``indices`` in the worker pool.
+        self,
+        jobs: Sequence[Tuple[PayloadFrames, Sequence[int]]],
+        chunk_bytes: int,
+    ) -> List[Optional[Dict[int, Optional[bytes]]]]:
+        """Encode each job's chunk indices, in one worker-pool round trip.
 
-        Returns ``{index: framed encoded body or None (store raw)}``,
-        or ``None`` when the engine cannot help (disabled, no codec, no
-        shared region) — the caller then encodes in-process.  Byte
-        counts reported by the workers are folded into the payload's
-        meters, keeping the "≤1 compression pass per persisted byte"
-        invariant measurable end-to-end.
+        ``jobs`` are ``(payload, chunk indices)`` pairs.  Returns, per
+        job, ``{index: framed encoded body or None (store raw)}`` — or
+        ``None`` where the engine cannot help (disabled, no codec, no
+        indices, no shared region for the payload, a failed round); the
+        caller then encodes that job in-process.  Byte counts reported
+        by the workers are folded into each payload's meters, keeping
+        the "≤1 compression pass per persisted byte" invariant
+        measurable end-to-end.
         """
-        if not self.enabled or self.codec is None or not indices:
-            return None
-        region = payload.region
-        if region is None:
-            try:
-                region = self._region_of(payload)
-            except Exception as exc:
-                self._disable("shared-memory staging failed", exc)
-                return None
-        if region is None:
-            return None
-        plans = self._plan(len(indices))
-        sizes = [
-            _chunk_range_bytes(region.nbytes, chunk_bytes, index, index + 1)
-            for index in indices
-        ]
-        raw_lens = [hi - lo for lo, hi in sizes]
-        out_needed = sum(raw_lens)
+        encoded: List[Optional[Dict[int, Optional[bytes]]]] = [None] * len(jobs)
+        if self.codec is None:
+            return encoded
+        units = []  # (job position, region, chunk index, raw chunk bytes)
+        for pos, (payload, indices) in enumerate(jobs):
+            if not self.enabled:
+                return encoded
+            region = self._region_of(payload) if indices else None
+            if region is None:
+                continue
+            for index in indices:
+                lo, hi = _chunk_range_bytes(region.nbytes, chunk_bytes, index, index + 1)
+                units.append((pos, region, index, hi - lo))
+        if not self.enabled or not units:
+            return encoded
+        out_needed = sum(unit[3] for unit in units)
         out_slice = self.staging.try_acquire(out_needed)
         scratch = None
         if out_slice is not None:
@@ -880,51 +950,53 @@ class ParallelChunkEngine:
                 scratch = _ScratchSegment(out_needed)
             except Exception as exc:
                 self._disable("scratch segment allocation failed", exc)
-                return None
+                return encoded
             out_region, out_view = scratch.region, scratch.view()
         try:
+            plans = self._plan(len(units), [unit[3] for unit in units])
             ids = []
-            spans = []
+            bases = []
             cursor = 0
             for start, stop in plans:
-                group = list(indices[start:stop])
-                group_bytes = sum(raw_lens[start:stop])
+                group = units[start:stop]
                 ids.append(self.pool.submit(
-                    "encode", region.segment, region.offset, region.nbytes,
-                    chunk_bytes, group, out_region.segment,
-                    out_region.offset + cursor,
+                    "encode", chunk_bytes,
+                    [(region.segment, region.offset, region.nbytes, index)
+                     for _, region, index, _ in group],
+                    out_region.segment, out_region.offset + cursor,
                 ))
-                spans.append(cursor)
-                cursor += group_bytes
+                bases.append(cursor)
+                cursor += sum(unit[3] for unit in group)
             self.tasks_dispatched += len(ids)
             results = self.pool.collect(ids)
-            encoded: Dict[int, Optional[bytes]] = {}
-            raw_in = 0
-            enc_out = 0
-            for task_id, base in zip(ids, spans):
-                _, _, entries, task_raw, task_out, cpu, wspans = results[task_id]
-                raw_in += task_raw
-                enc_out += task_out
+            counts: Dict[int, List[int]] = {}
+            for (start, stop), task_id, base in zip(plans, ids, bases):
+                _, _, entries, cpu, wspans = results[task_id]
                 self.worker_cpu_seconds += cpu
                 self._merge_worker_spans(wspans)
-                for index, rel_off, enc_len in entries:
-                    if enc_len <= 0:
-                        encoded[index] = None
-                    else:
-                        lo = base + rel_off
-                        encoded[index] = bytes(out_view[lo:lo + enc_len])
-            if payload.meters is not None:
-                # Incompressible chunks count raw-in with themselves as
-                # "out" (they hit the wire raw): the pass still ran once.
-                raw_kept = sum(
-                    raw_lens[pos] for pos, index in enumerate(indices)
-                    if encoded.get(index) is None
-                )
-                payload.meters.count_compressed(raw_in, enc_out + raw_kept)
+                for (pos, _, index, _), (rel_off, enc_len, raw_len) in zip(
+                    units[start:stop], entries
+                ):
+                    body = None
+                    if enc_len > 0:
+                        body = bytes(out_view[base + rel_off:base + rel_off + enc_len])
+                    if encoded[pos] is None:
+                        encoded[pos] = {}
+                    encoded[pos][index] = body
+                    # Incompressible chunks count raw-in with themselves
+                    # as "out" (they hit the wire raw): the pass still
+                    # ran once.
+                    tally = counts.setdefault(pos, [0, 0])
+                    tally[0] += raw_len
+                    tally[1] += enc_len if body is not None else raw_len
+            for pos, (raw_in, raw_out) in counts.items():
+                meters = jobs[pos][0].meters
+                if meters is not None:
+                    meters.count_compressed(raw_in, raw_out)
             return encoded
         except WorkerPoolError as exc:
             self._disable("encode fan-out failed", exc)
-            return None
+            return [None] * len(jobs)
         finally:
             if out_slice is not None:
                 self.staging.release(out_slice)

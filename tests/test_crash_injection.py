@@ -31,6 +31,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -685,6 +686,47 @@ class TestParallelEngineDegradation:
                 store,
                 {"warm": (np.full(256, 1.0), 1), "after": (np.full(256, 2.0), 2)},
             )
+        finally:
+            store.close()
+
+    def test_workers_killed_between_digest_and_encode_rounds(self, tmp_path):
+        """A batch window's digest round succeeds, then every worker
+        dies before its encode round: one warning, the engine disabled,
+        and the rest of the batch written in-process."""
+        store = self.open(tmp_path)
+        try:
+            store.put("warm", entry(1.0, size=256), stamp=1)  # pool is live
+            engine = store.engine
+            digest_round = engine.chunk_digests
+            rounds = []
+
+            def digest_then_kill(payloads, chunk_bytes):
+                before = engine.tasks_dispatched
+                digests = digest_round(payloads, chunk_bytes)
+                rounds.append(engine.tasks_dispatched - before)
+                if len(rounds) == 1:
+                    for proc in engine.pool._procs:
+                        os.kill(proc.pid, signal.SIGKILL)
+                    for proc in engine.pool._procs:
+                        proc.join(timeout=10)
+                return digests
+
+            engine.chunk_digests = digest_then_kill
+            batch = [(f"k{i}", entry(float(i), size=256), 2, 0) for i in range(6)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                store.put_many(batch)
+            assert rounds[0] > 0  # the digest round really ran in the pool
+            disabled = [
+                warning for warning in caught
+                if issubclass(warning.category, RuntimeWarning)
+                and "parallel save engine disabled" in str(warning.message)
+            ]
+            assert len(disabled) == 1
+            assert "encode" in engine.fallback_reason
+            expected = {"warm": (np.full(256, 1.0), 1)}
+            expected.update({f"k{i}": (np.full(256, float(i)), 2) for i in range(6)})
+            self.assert_degraded_but_intact(store, expected)
         finally:
             store.close()
 

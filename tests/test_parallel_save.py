@@ -28,8 +28,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.ckpt import dedup as dedup_module
 from repro.ckpt import (
     AsyncWriteBackend,
+    ChunkWorkerPool,
+    CrashInjected,
     DedupBackend,
     ParallelChunkEngine,
     ParallelRestorer,
@@ -159,7 +162,7 @@ class TestEngineDigests:
         expected = PayloadFrames.from_entry(case).chunk_digests(CHUNK)
         with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
             payload = frames_of(case)
-            got = engine.chunk_digests(payload, CHUNK)
+            (got,) = engine.chunk_digests([payload], CHUNK)
             engine.finish(payload)
         assert got == expected, f"seed={seed}"
 
@@ -167,11 +170,11 @@ class TestEngineDigests:
         meters = PipelineMeters()
         payload = frames_of(compressible_entry(), meters)
         with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            engine.chunk_digests(payload, CHUNK)
+            engine.chunk_digests([payload], CHUNK)
             assert meters.bytes_hashed == payload.nbytes  # exactly one sweep
             # second ask is a cache hit: no new tasks, no rehash
             before = engine.tasks_dispatched
-            engine.chunk_digests(payload, CHUNK)
+            engine.chunk_digests([payload], CHUNK)
             assert engine.tasks_dispatched == before
             assert meters.bytes_hashed == payload.nbytes
             engine.finish(payload)
@@ -182,14 +185,14 @@ class TestEngineDigests:
         payload = frames_of(compressible_entry())
         cached = payload.chunk_digests(CHUNK)
         with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            assert engine.chunk_digests(payload, CHUNK) == cached
+            assert engine.chunk_digests([payload], CHUNK) == [cached]
             assert engine.tasks_dispatched == 0
             engine.finish(payload)
 
     def test_tiny_payload_falls_back_in_process(self):
         payload = frames_of({"x": np.ones(2)})
         with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            got = engine.chunk_digests(payload, 1 << 20)
+            (got,) = engine.chunk_digests([payload], 1 << 20)
             assert engine.tasks_dispatched == 0
         assert got == PayloadFrames.from_entry({"x": np.ones(2)}).chunk_digests(1 << 20)
 
@@ -197,7 +200,7 @@ class TestEngineDigests:
         meters = PipelineMeters()
         payload = frames_of(compressible_entry(), meters)
         with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            engine.chunk_digests(payload, CHUNK)
+            engine.chunk_digests([payload], CHUNK)
             assert meters.bytes_copied == payload.nbytes  # the ONE copy
             engine.finish(payload)
             assert payload.region is None  # staging released
@@ -213,7 +216,7 @@ class TestEngineDigests:
         copied_once = meters.bytes_copied
         assert staged.region is not None
         with ParallelChunkEngine(WORKERS, staging=pool) as engine:
-            digests = engine.chunk_digests(staged, CHUNK)
+            (digests,) = engine.chunk_digests([staged], CHUNK)
             engine.finish(staged)  # engine did not stage: must be a no-op
             assert staged.region is not None
         assert meters.bytes_copied == copied_once
@@ -234,7 +237,7 @@ class TestEngineEncodeDecode:
         ) as engine:
             payload = frames_of(case)
             indices = list(range(len(raw_chunks)))
-            encoded = engine.encode_chunks(payload, CHUNK, indices)
+            (encoded,) = engine.encode_chunks([(payload, indices)], CHUNK)
             engine.finish(payload)
         assert encoded is not None and set(encoded) == set(indices)
 
@@ -255,7 +258,7 @@ class TestEngineEncodeDecode:
         ) as engine:
             payload = frames_of(case)
             n_chunks = (payload.nbytes + CHUNK - 1) // CHUNK
-            encoded = engine.encode_chunks(payload, CHUNK, list(range(n_chunks)))
+            (encoded,) = engine.encode_chunks([(payload, list(range(n_chunks)))], CHUNK)
             engine.finish(payload)
         assert encoded is not None
         # the header chunk may squeeze, but the random body must not
@@ -270,7 +273,7 @@ class TestEngineEncodeDecode:
         ) as engine:
             n_chunks = (payload.nbytes + CHUNK - 1) // CHUNK
             subset = list(range(0, n_chunks, 2))  # only "novel" chunks
-            engine.encode_chunks(payload, CHUNK, subset)
+            engine.encode_chunks([(payload, subset)], CHUNK)
             engine.finish(payload)
         assert 0 < meters.bytes_compressed <= payload.nbytes
         # incompressible chunks count raw bytes as output (they hit the
@@ -297,8 +300,45 @@ class TestEngineEncodeDecode:
     def test_no_codec_engine_returns_none_for_encode(self):
         with ParallelChunkEngine(WORKERS, arena_bytes=1 << 16) as engine:
             payload = frames_of(compressible_entry())
-            assert engine.encode_chunks(payload, CHUNK, [0]) is None
+            assert engine.encode_chunks([(payload, [0])], CHUNK) == [None]
             engine.finish(payload)
+
+
+class TestEnginePlanning:
+    def test_no_items_plan_no_tasks(self):
+        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 16) as engine:
+            assert engine._plan(0) == []
+            assert engine._plan(0, []) == []
+
+    def test_empty_rounds_dispatch_nothing(self):
+        codec = make_chunk_codec("zlib")
+        with ParallelChunkEngine(WORKERS, codec=codec, arena_bytes=1 << 16) as engine:
+            assert engine.chunk_digests([], CHUNK) == []
+            assert engine.encode_chunks([], CHUNK) == []
+            payload = frames_of(compressible_entry())
+            assert engine.encode_chunks([(payload, [])], CHUNK) == [None]
+            assert engine.tasks_dispatched == 0
+            assert payload.region is None  # nothing to encode: not staged
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_ranges_cover_items_contiguously(self, workers):
+        with ParallelChunkEngine(workers, arena_bytes=1 << 16) as engine:
+            for n_items in range(1, 12):
+                ranges = engine._plan(n_items)
+                assert len(ranges) == min(workers, n_items)
+                assert ranges[0][0] == 0 and ranges[-1][1] == n_items
+                for (_, stop), (start, _) in zip(ranges, ranges[1:]):
+                    assert stop == start
+                assert all(stop > start for start, stop in ranges)
+
+    def test_ranges_balance_bytes_not_counts(self):
+        # 40 tiny chunks, then 40 full ones: a count split would hand
+        # one worker all the tiny chunks and the other all the work
+        sizes = [1] * 40 + [100] * 40
+        with ParallelChunkEngine(2, arena_bytes=1 << 16) as engine:
+            (a_start, a_stop), (b_start, b_stop) = engine._plan(len(sizes), sizes)
+        loads = [sum(sizes[a_start:a_stop]), sum(sizes[b_start:b_stop])]
+        assert abs(loads[0] - loads[1]) <= max(sizes)
 
 
 class TestDedupComposition:
@@ -368,6 +408,176 @@ class TestDedupComposition:
             )
             assert store.fsck().ok
         store.close()
+
+
+#: An entry already on disk before the batch runs (its twin in the
+#: batch is all dedup hits).
+ON_DISK = compressible_entry(512, seed=99)
+
+
+def batch_entries() -> list:
+    """~80 mixed-size entries: most under one chunk, some multi-chunk,
+    two that share exactly one chunk, and one already on disk."""
+    rng = np.random.default_rng(7)
+    entries = []
+    for index in range(80):
+        if index % 10 == 3:  # multi-chunk, compressible
+            entries.append((f"big{index}", compressible_entry(256 + 32 * index, seed=index)))
+        else:  # under one chunk; random floats mostly stay raw
+            entries.append((f"small{index}", {"x": rng.standard_normal(4 + index % 21)}))
+    # 40 float64 = 352 bytes: chunk 0 shared, chunk 1 differs
+    twin = rng.standard_normal(40)
+    other = twin.copy()
+    other[-1] += 1.0
+    entries.insert(20, ("twin-a", {"x": twin}))
+    entries.insert(60, ("twin-b", {"x": other}))
+    entries.insert(40, ("copy-of-on-disk", ON_DISK))
+    return entries
+
+
+class TestBatchedWindows:
+    """``put_many_serialized`` makes one digest and one encode round
+    trip per window, and lands exactly what the in-process path does."""
+
+    def run_batch(self, root, workers, monkeypatch=None):
+        store = DedupBackend(
+            str(root), chunk_bytes=CHUNK, codec="zlib", parallel_workers=workers
+        )
+        store.put("on-disk", ON_DISK, stamp=0)
+        meters = PipelineMeters()
+        items = [
+            (key, PayloadFrames.from_entry(case, meters=meters), 1, 0)
+            for key, case in batch_entries()
+        ]
+        collects = []
+        if monkeypatch is not None:
+            collect = ChunkWorkerPool.collect
+
+            def counted(pool, task_ids):
+                collects.append(len(task_ids))
+                return collect(pool, task_ids)
+
+            monkeypatch.setattr(ChunkWorkerPool, "collect", counted)
+        sizes = store.put_many_serialized(items)
+        assert sizes == [payload.nbytes for _, payload, _, _ in items]
+        return store, meters, dedup_module._windows(items), collects
+
+    @staticmethod
+    def encoded_files(root):
+        objects = root / "chunks" / "objects"
+        return {path.name for path in objects.glob("*/*.z")}
+
+    @pytest.mark.parametrize("window_bytes", [dedup_module.WINDOW_BYTES, 8 * 1024])
+    def test_batch_matches_in_process_path(self, tmp_path, monkeypatch, window_bytes):
+        monkeypatch.setattr(dedup_module, "WINDOW_BYTES", window_bytes)
+        serial, serial_meters, _, _ = self.run_batch(tmp_path / "serial", 0)
+        pooled, meters, windows, collects = self.run_batch(
+            tmp_path / "pooled", WORKERS, monkeypatch
+        )
+        try:
+            assert pooled.engine.enabled, pooled.engine.fallback_reason
+            assert pooled.engine.tasks_dispatched > 0
+            # one digest + one encode round trip per window, not per entry
+            assert 0 < len(collects) <= 2 * len(windows)
+            if window_bytes < dedup_module.WINDOW_BYTES:
+                assert len(windows) > 1
+            assert pooled.keys() == serial.keys()
+            for key in serial.keys():
+                assert pooled.chunks_of(key) == serial.chunks_of(key), key
+                got, want = pooled.get(key), serial.get(key)
+                assert got.keys() == want.keys()
+                for field in want:
+                    assert got[field].dtype == want[field].dtype
+                    assert got[field].tobytes() == want[field].tobytes(), key
+            assert self.encoded_files(tmp_path / "pooled") == self.encoded_files(
+                tmp_path / "serial"
+            )
+            assert self.encoded_files(tmp_path / "pooled")  # compression engaged
+            assert pooled.engine.staging.arena_in_use == 0
+            assert pooled.fsck().ok
+        finally:
+            pooled.close()
+            serial.close()
+        # one hash pass; one compression pass over exactly the novel
+        # first-occurrence chunks, the twins' shared chunk counted once
+        on_disk = set(chunk_digest(c) for c in chunk_payload(serialize_entry(ON_DISK), CHUNK))
+        seen = set(on_disk)
+        novel_bytes = 0
+        twin_chunks = []
+        for key, case in batch_entries():
+            chunks = chunk_payload(serialize_entry(case), CHUNK)
+            if key.startswith("twin"):
+                twin_chunks.append({chunk_digest(c) for c in chunks})
+            for chunk in chunks:
+                if chunk_digest(chunk) not in seen:
+                    seen.add(chunk_digest(chunk))
+                    novel_bytes += len(chunk)
+        assert len(twin_chunks[0] & twin_chunks[1]) == 1
+        for snapshot in (meters, serial_meters):
+            assert snapshot.bytes_hashed == snapshot.bytes_serialized
+            assert snapshot.bytes_compressed == novel_bytes
+        assert meters.bytes_compressed_out == serial_meters.bytes_compressed_out
+
+    @pytest.mark.parametrize("failure", ["crash", "oserror"])
+    def test_failed_window_releases_its_staging(self, tmp_path, monkeypatch, failure):
+        store = DedupBackend(
+            str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=WORKERS
+        )
+        try:
+            items = [
+                (f"k{index}", compressible_entry(512, seed=index), 1, 0)
+                for index in range(6)
+            ]
+            # the third chunk write fails: mid-window, with every later
+            # entry of the window already staged
+            hits = {"count": 0}
+            write_chunk = store.chunks.write_chunk
+
+            def third(error):
+                hits["count"] += 1
+                if hits["count"] == 3:
+                    raise error
+
+            def failing(digest, data, encoded=None):
+                third(OSError("disk full"))
+                return write_chunk(digest, data, encoded=encoded)
+
+            if failure == "crash":
+                store.fault_hook = (
+                    lambda point: point == "chunk:durable" and third(CrashInjected(point))
+                )
+                expected = CrashInjected
+            else:
+                monkeypatch.setattr(store.chunks, "write_chunk", failing)
+                expected = OSError
+            with pytest.raises(expected):
+                store.put_many(items)
+            assert store.engine.enabled
+            # every payload the window staged is released: later saves
+            # still get arena space and still reach the pool
+            assert store.engine.staging.arena_in_use == 0
+            store.fault_hook = None
+            monkeypatch.setattr(store.chunks, "write_chunk", write_chunk)
+            before = store.engine.tasks_dispatched
+            store.put_many([
+                (f"after{index}", compressible_entry(512, seed=50 + index), 2, 0)
+                for index in range(4)
+            ])
+            assert store.engine.tasks_dispatched > before
+            assert store.engine.staging.arena_in_use == 0
+        finally:
+            store.close()
+
+    def test_empty_batch_is_a_no_op(self, tmp_path):
+        store = DedupBackend(
+            str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=WORKERS
+        )
+        try:
+            assert store.put_many_serialized([]) == []
+            assert store.keys() == []
+            assert store.engine.tasks_dispatched == 0
+        finally:
+            store.close()
 
 
 def run_concurrently(work, threads: int = 2, timeout: float = 30.0) -> None:
