@@ -34,7 +34,6 @@ def compute_campaigns():
             backend=backend,
             runs=RUNS,
             seed=SEED,
-            worker_kill_runs=1 if backend != "async-tiered" else 0,
             base_rate=BASE_RATE,
             step_rate=STEP_RATE,
             o_save=O_SAVE,

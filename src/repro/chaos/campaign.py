@@ -6,10 +6,9 @@ async-tiered), executes a randomized operation plan (puts, overwrites,
 deletes, reads, gc, flush), and kills the store mid-operation through
 the crash-injection seams every disk-backed tier already exposes via
 ``fault_hook`` — mid chunk write, mid journal append, mid compaction,
-mid upload claim, mid remote payload write — plus, for parallel runs,
-SIGKILL of live :class:`~repro.ckpt.parallel.ChunkWorkerPool` worker
-processes.  After every kill the run recovers through an escalating
-ladder (retry → reopen → fsck --repair → report) with attempt tracking
+mid upload claim, mid remote payload write.  After every kill the run
+recovers through an escalating ladder (retry → reopen → fsck --repair →
+report) with attempt tracking
 and circular-failure detection, and must end fsck-clean with every
 surviving key readable and byte-exact — or the campaign fails carrying
 the campaign seed, the per-run seed, and a copy-pasteable repro command.
@@ -33,11 +32,9 @@ import json
 import os
 import random
 import shutil
-import signal
 import tempfile
 import threading
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -351,7 +348,6 @@ def _build_stack(
     injector: SeamInjector,
     remote_fault_rate: float = 0.04,
     local_keep_stamps: Optional[int] = 2,
-    parallel_workers: int = 0,
 ) -> _Stack:
     """Construct a fresh (or reopened) stack over ``root``.
 
@@ -365,13 +361,10 @@ def _build_stack(
     dedup_opts = dict(
         # Small chunks so every entry spans several chunks (chunk seams
         # fire repeatedly); tiny compaction thresholds so journal
-        # rewrites happen inside short runs.  Worker-kill runs shrink
-        # chunks further so every put engages the parallel engine.
-        chunk_bytes=64 if parallel_workers else 256,
+        # rewrites happen inside short runs.
+        chunk_bytes=256,
         compact_min_records=4,
         compact_garbage_ratio=1.5,
-        parallel_workers=parallel_workers,
-        start_method="fork" if parallel_workers else None,
     )
     if backend == "dedup":
         store = DedupBackend(root, **dedup_opts)
@@ -419,13 +412,12 @@ class RunResult:
 
     index: int
     seed: int
-    target: Optional[str]  # armed seam, ANY, "worker-kill", or None
+    target: Optional[str]  # armed seam, ANY, or None
     kills: List[Tuple[str, str]] = field(default_factory=list)
     seams_seen: int = 0
     recovery_actions: List[str] = field(default_factory=list)
     escalations: int = 0
     circular: bool = False
-    worker_kill: bool = False
     ok: bool = False
 
     def as_dict(self) -> dict:
@@ -438,7 +430,6 @@ class RunResult:
             "recovery_actions": list(self.recovery_actions),
             "escalations": self.escalations,
             "circular": self.circular,
-            "worker_kill": self.worker_kill,
             "ok": self.ok,
         }
 
@@ -471,7 +462,6 @@ class ChaosRun:
         max_kills: int = 3,
         target: Optional[str] = None,
         nth: int = 1,
-        worker_kill: bool = False,
         remote_fault_rate: float = 0.04,
         local_keep_stamps: Optional[int] = 2,
         registry: Optional[MetricsRegistry] = None,
@@ -486,18 +476,12 @@ class ChaosRun:
         self.max_kills = max_kills
         self.target = target
         self.nth = nth
-        self.worker_kill = worker_kill
         self.remote_fault_rate = remote_fault_rate
         self.local_keep_stamps = local_keep_stamps
         self.registry = registry if registry is not None else get_registry()
         self.rng = random.Random(f"{campaign_seed}:run:{run_index}")
         self.model = _StateModel(self.seed)
-        self.result = RunResult(
-            index=run_index,
-            seed=self.seed,
-            target="worker-kill" if worker_kill else target,
-            worker_kill=worker_kill,
-        )
+        self.result = RunResult(index=run_index, seed=self.seed, target=target)
         self._episode_counter: Counter = Counter()
         self._c_faults = self.registry.counter(
             "moc_chaos_faults_injected_total",
@@ -512,10 +496,6 @@ class ChaosRun:
         self._c_escalations = self.registry.counter(
             "moc_chaos_escalations_total",
             "Recoveries that needed more than their first rung",
-        )
-        self._c_worker_kills = self.registry.counter(
-            "moc_chaos_worker_kills_total",
-            "Chunk-pool worker processes SIGKILLed",
         )
 
     def _fail(self, message: str) -> ChaosFailure:
@@ -691,25 +671,6 @@ class ChaosRun:
             finally:
                 gate.set()
 
-    @staticmethod
-    def _engine_of(stack: _Stack):
-        engine = getattr(stack.base, "engine", None)
-        if engine is None:
-            engine = getattr(getattr(stack.base, "local", None), "engine", None)
-        return engine
-
-    def _kill_workers(self, stack: _Stack) -> int:
-        pool = getattr(self._engine_of(stack), "pool", None)
-        procs = list(getattr(pool, "_procs", []) or [])
-        killed = 0
-        for proc in procs:
-            if proc.is_alive() and proc.pid:
-                os.kill(proc.pid, signal.SIGKILL)
-                killed += 1
-        if killed:
-            self._c_worker_kills.inc(killed)
-        return killed
-
     # -- recovery ladder -------------------------------------------------
     def _record_action(self, action: str) -> None:
         self.result.recovery_actions.append(action)
@@ -804,31 +765,17 @@ class ChaosRun:
             injector,
             remote_fault_rate=self.remote_fault_rate,
             local_keep_stamps=self.local_keep_stamps,
-            parallel_workers=2 if self.worker_kill else 0,
         )
         plan = self._plan()
         kills_left = self.max_kills
         if self.target is not None:
             injector.arm(self.target, self.nth)
             kills_left -= 1
-        killed_workers = False
 
         with _span(
             "chaos-run", backend=self.backend, index=self.index, seed=self.seed
-        ), warnings.catch_warnings():
-            # A SIGKILLed chunk pool downgrades the engine with a
-            # RuntimeWarning; that is the behaviour under test, not a
-            # condition to surface.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            position = 0
-            while position < len(plan):
-                op = plan[position]
-                if (
-                    self.worker_kill
-                    and not killed_workers
-                    and position == 3  # after the pool has warmed up
-                ):
-                    killed_workers = self._kill_workers(stack) > 0
+        ):
+            for op in plan:
                 try:
                     self._execute(stack, op)
                 except Exception as exc:  # noqa: BLE001
@@ -844,7 +791,6 @@ class ChaosRun:
                     if kills_left > 0 and self.target == ANY:
                         injector.arm(ANY, self.rng.randint(1, 10))
                         kills_left -= 1
-                position += 1
 
             # An armed target that never fired stays a no-fire run; the
             # verification reads below must not become the kill.
@@ -862,14 +808,6 @@ class ChaosRun:
             if failure is not None:
                 self._record_action(RUNG_REPORT)
                 raise self._fail(failure)
-            if self.worker_kill and not killed_workers:
-                raise self._fail("worker-kill run found no live workers to kill")
-            if self.worker_kill:
-                engine = self._engine_of(stack)
-                if engine is not None and engine.enabled:
-                    raise self._fail(
-                        "worker-kill run: engine still enabled after SIGKILL"
-                    )
             # Clean teardown (the run survived; this is not a crash).
             try:
                 stack.store.close()
@@ -896,7 +834,6 @@ class CampaignConfig:
     seed: int = 0
     ops_per_run: int = 12
     max_kills: int = 3
-    worker_kill_runs: int = 2
     remote_fault_rate: float = 0.04
     #: Virtual-clock fault-rate schedule: ``base_rate`` kills per unit
     #: time, stepping to ``step_rate`` after ``step_at`` of the runs —
@@ -935,7 +872,6 @@ class CampaignResult:
     recovery_actions: Counter = field(default_factory=Counter)
     escalations: int = 0
     circular_detections: int = 0
-    worker_kills: int = 0
     no_fire_runs: int = 0
     fault_times: List[float] = field(default_factory=list)
     decisions: List[dict] = field(default_factory=list)
@@ -958,7 +894,6 @@ class CampaignResult:
                 "seed": self.config.seed,
                 "ops_per_run": self.config.ops_per_run,
                 "max_kills": self.config.max_kills,
-                "worker_kill_runs": self.config.worker_kill_runs,
                 "remote_fault_rate": self.config.remote_fault_rate,
                 "base_rate": self.config.base_rate,
                 "step_rate": self.config.step_rate,
@@ -973,7 +908,6 @@ class CampaignResult:
             "recovery_actions": dict(sorted(self.recovery_actions.items())),
             "escalations": self.escalations,
             "circular_detections": self.circular_detections,
-            "worker_kills": self.worker_kills,
             "no_fire_runs": self.no_fire_runs,
             "fault_times": self.fault_times,
             "decisions": self.decisions,
@@ -997,32 +931,25 @@ class CampaignResult:
 
 def _plan_run(
     config: CampaignConfig, run_index: int, seams: Tuple[str, ...]
-) -> Tuple[Optional[str], int, bool]:
-    """Decide (target, nth, worker_kill) for one run — pure function of
-    the campaign seed and index.
+) -> Tuple[Optional[str], int]:
+    """Decide (target, nth) for one run — pure function of the campaign
+    seed and index.
 
     The first ``len(seams)`` runs target each registered seam in order
-    (guaranteed coverage); the last ``worker_kill_runs`` SIGKILL pool
-    workers (dedup stacks only — the pool lives in the dedup tier);
-    the rest draw from the seeded mix, with the kill *probability*
-    following the campaign's virtual fault-rate schedule so the
-    adaptive loop sees a realistic stream.
+    (guaranteed coverage); the rest draw from the seeded mix, with the
+    kill *probability* following the campaign's virtual fault-rate
+    schedule so the adaptive loop sees a realistic stream.
     """
     rng = random.Random(f"{config.seed}:target:{run_index}")
-    worker_tail = (
-        config.worker_kill_runs if config.backend in ("dedup", "tiered") else 0
-    )
     if run_index < len(seams):
-        return seams[run_index], 1, False
-    if run_index >= config.runs - worker_tail:
-        return None, 0, True
+        return seams[run_index], 1
     p_kill = 1.0 - float(np.exp(-config.rate_at(run_index)))
     if rng.random() >= p_kill:
-        return None, 0, False
+        return None, 0
     roll = rng.random()
     if roll < 0.7:
-        return rng.choice(seams), rng.randint(1, 3), False
-    return ANY, rng.randint(1, 30), False
+        return rng.choice(seams), rng.randint(1, 3)
+    return ANY, rng.randint(1, 30)
 
 
 def run_campaign(
@@ -1062,7 +989,7 @@ def run_campaign(
         local_keep = 2
         for index in indices:
             virtual_now += 1.0  # one run = one unit of virtual fleet time
-            target, nth, worker_kill = _plan_run(config, index, seams)
+            target, nth = _plan_run(config, index, seams)
             run_root = os.path.join(root, f"run-{index:05d}")
             run = ChaosRun(
                 backend=config.backend,
@@ -1074,7 +1001,6 @@ def run_campaign(
                 max_kills=config.max_kills,
                 target=target,
                 nth=nth,
-                worker_kill=worker_kill,
                 remote_fault_rate=config.remote_fault_rate,
                 local_keep_stamps=local_keep,
                 registry=registry,
@@ -1096,7 +1022,6 @@ def run_campaign(
                 result.recovery_actions[action] += 1
             result.escalations += run_result.escalations
             result.circular_detections += int(run_result.circular)
-            result.worker_kills += int(run_result.worker_kill)
             if target is not None and not run_result.kills:
                 result.no_fire_runs += 1
             result.run_results.append(run_result.as_dict())

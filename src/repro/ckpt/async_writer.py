@@ -123,14 +123,8 @@ class StagingPool:
         self.exhaustion_waits = 0
 
     def _try_acquire(self, nbytes: int):
-        """Attempt one allocation under the lock; ``None`` if starved.
-
-        The allocation policy (best-fit reuse, evict-then-allocate,
-        oversize liveness rule) lives here so subclasses — notably the
-        shared-memory pool the parallel save engine stages through —
-        can swap the storage substrate while inheriting the FIFO
-        admission discipline of :meth:`acquire`.
-        """
+        """Attempt one allocation under the lock; ``None`` if starved
+        (best-fit reuse, evict-then-allocate, oversize liveness rule)."""
         best = None
         for index, buf in enumerate(self._free):
             if len(buf) >= nbytes and (
@@ -196,19 +190,6 @@ class StagingPool:
                             ]
                         )
 
-    def try_acquire(self, nbytes: int):
-        """Non-blocking acquire: a buffer, or ``None`` if it would wait.
-
-        Respects FIFO admission — returns ``None`` while earlier
-        acquires are queued, even if capacity happens to be free (it is
-        theirs).  Used by the parallel engine for scratch regions it
-        can satisfy elsewhere rather than deadlock on.
-        """
-        with self._cond:
-            if self._waiters:
-                return None
-            return self._try_acquire(nbytes)
-
     def release(self, buffer) -> None:
         """Return a buffer to the pool (wakes blocked acquirers)."""
         with self._cond:
@@ -218,9 +199,6 @@ class StagingPool:
             else:
                 self._allocated -= len(buffer)
             self._cond.notify_all()
-
-    def close(self) -> None:
-        """Release pooled resources (no-op for heap buffers)."""
 
     @property
     def idle_buffers(self) -> int:
@@ -266,13 +244,6 @@ class AsyncWriteBackend(CheckpointBackend):
         Byte budget of the :class:`StagingPool` the pipeline snapshots
         frame payloads into.  Lower it to model tight staging memory:
         producers block once the arena is full of in-flight payloads.
-    staging_pool:
-        Inject a pool instead of building a private one — the parallel
-        save engine passes its :class:`SharedStagingPool` here so the
-        async staging copy lands directly in shared memory and the
-        worker processes hash/compress it in place (one copy total).
-        An injected pool is not closed by :meth:`close` (the engine
-        owns it).
     scheduler:
         The :class:`~repro.io.scheduler.IOScheduler` persist batches are
         submitted to (``SAVE`` class, on a serial lane so the inner
@@ -285,7 +256,6 @@ class AsyncWriteBackend(CheckpointBackend):
         inner: CheckpointBackend,
         max_pending: int = 256,
         arena_bytes: int = DEFAULT_ARENA_BYTES,
-        staging_pool: Optional[StagingPool] = None,
         scheduler: Optional[IOScheduler] = None,
     ) -> None:
         if max_pending < 1:
@@ -294,8 +264,7 @@ class AsyncWriteBackend(CheckpointBackend):
         # and must not be shadowed by an instance attribute.
         self.inner = inner
         self.max_pending = max_pending
-        self.staging = staging_pool if staging_pool is not None else StagingPool(arena_bytes)
-        self._owns_staging = staging_pool is None
+        self.staging = StagingPool(arena_bytes)
         self.bytes_written = 0  # accepted (staged) payload bytes
         self.put_count = 0
         # Backpressure is accounted per ENTRY (via the semaphore), not
@@ -592,8 +561,6 @@ class AsyncWriteBackend(CheckpointBackend):
         self._wait_drained()
         self._scheduler.release_lane(self._lane.name)
         self.inner.close()
-        if self._owns_staging:
-            self.staging.close()
         self._raise_pending()
 
     def abort(self) -> None:
@@ -616,8 +583,6 @@ class AsyncWriteBackend(CheckpointBackend):
                 self._error = AsyncWriteError("aborted")
         self._wait_drained(timeout=10.0)
         self._scheduler.release_lane(self._lane.name)
-        if self._owns_staging:
-            self.staging.close()
 
     def __enter__(self) -> "AsyncWriteBackend":
         return self

@@ -245,7 +245,7 @@ def make_backend(
     ``memory`` ignores ``root`` (useful for demos and tests); ``disk``,
     ``sharded``, ``dedup`` and ``tiered`` require a directory.  ``codec``
     (a chunk codec name or instance) and ``parallel_workers``
-    (multi-process chunk hash/compress engine) apply at the chunk
+    (chunk-codec threads) apply at the chunk
     boundary, so they require a dedup tier: the ``dedup`` backend
     itself, or ``tiered`` (whose local tier is a dedup store and
     inherits both).  The ``remote_*``/``upload_workers``/

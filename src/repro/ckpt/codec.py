@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 import warnings
 import zlib
 from collections import Counter
@@ -190,6 +191,7 @@ class ChunkCodec:
         self.dictionary = bytes(dictionary) if dictionary else None
         self.dict_digest = dictionary_digest(self.dictionary) if self.dictionary else None
         self.stats = CodecStats()
+        self._stats_lock = threading.Lock()
 
     # -- streaming primitives (overridden per codec) --------------------
     def _compressor(self):
@@ -199,15 +201,19 @@ class ChunkCodec:
         raise NotImplementedError
 
     # -- public API -----------------------------------------------------
+    def _count(self, raw: int, encoded: int) -> None:
+        # Several codec threads encode through one instance.
+        with self._stats_lock:
+            self.stats.raw_bytes += raw
+            self.stats.encoded_bytes += encoded
+
     def encode_parts(self, parts: Sequence[Frame]) -> bytes:
         """Compress a chunk given as buffer parts (no concatenation)."""
         comp = self._compressor()
         out: List[bytes] = [comp.compress(part) for part in parts]
         out.append(comp.flush())
         encoded = b"".join(out)
-        raw = sum(len(part) for part in parts)
-        self.stats.raw_bytes += raw
-        self.stats.encoded_bytes += len(encoded)
+        self._count(sum(len(part) for part in parts), len(encoded))
         return encoded
 
     def encode(self, data: Union[bytes, memoryview]) -> bytes:
@@ -218,10 +224,6 @@ class ChunkCodec:
         raw = decomp.decompress(bytes(data))
         tail = getattr(decomp, "flush", lambda: b"")()
         return raw + tail if tail else raw
-
-    def spec(self) -> Dict[str, object]:
-        """Picklable recipe a worker process rebuilds the codec from."""
-        return {"name": self.name, "level": self.level, "dictionary": self.dictionary}
 
 
 class ZlibChunkCodec(ChunkCodec):
@@ -314,9 +316,7 @@ class LZ4ChunkCodec(ChunkCodec):
         out.extend(comp.compress(bytes(part)) for part in parts)
         out.append(comp.flush())
         encoded = b"".join(out)
-        raw = sum(len(part) for part in parts)
-        self.stats.raw_bytes += raw
-        self.stats.encoded_bytes += len(encoded)
+        self._count(sum(len(part) for part in parts), len(encoded))
         return encoded
 
     def decode(self, data: Union[bytes, memoryview]) -> bytes:

@@ -44,9 +44,9 @@ preserving the same order (all increfs, then all manifests, then all
 decrefs).  Their chunk work runs per *window* of at most
 :data:`WINDOW_BYTES` of payload: every digest of the window, then
 every novel chunk's encoding, then the window's chunk writes — so all
-encoding of a window happens before its first chunk write, and a worker
-pool sees one round trip per step instead of one per entry.  Deletes
-append the tombstone first, then the decref.
+encoding of a window happens before its first chunk write, and the
+codec threads split one round per window instead of one per entry.
+Deletes append the tombstone first, then the decref.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .codec import (
     make_chunk_codec,
     train_dictionary,
 )
+from .parallel import ParallelChunkEngine
 from .serializer import DEFAULT_CHUNK_BYTES, PayloadFrames
 
 # Journal and maintenance instruments on the process-wide registry,
@@ -103,9 +104,8 @@ _GC_RECLAIMED_BYTES = get_registry().counter(
 )
 
 #: Serialized payload bytes per ``put_many`` window (an entry larger
-#: than this is a window of its own).  A window's payloads stay staged
-#: and its encoded chunks held until its writes finish; staging a whole
-#: ~9 MiB ``save_initial`` batch at once raised peak RSS by ~16 %.
+#: than this is a window of its own).  A window's encoded chunks are
+#: held until its writes finish, so the window bounds that memory.
 WINDOW_BYTES = 2 * 1024 * 1024
 
 
@@ -544,8 +544,6 @@ class DedupBackend(CheckpointBackend):
         compact_garbage_ratio: float = 4.0,
         codec: Optional[object] = None,
         parallel_workers: int = 0,
-        staging_pool: Optional[object] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         super().__init__()
         if chunk_bytes < 1:
@@ -566,24 +564,15 @@ class DedupBackend(CheckpointBackend):
         self.codec: Optional[ChunkCodec] = (
             make_chunk_codec(codec) if isinstance(codec, str) else codec
         )
-        # Parallel chunk engine: >0 workers fan digest/encode/decode to
-        # per-core processes over shared memory.  Built lazily-ish here
-        # (the pool itself starts on first use); any failure downgrades
-        # to the in-process path with a warning, never an error.
-        self._parallel_workers = parallel_workers
-        self._start_method = start_method
-        self._shared_staging = staging_pool
-        self.engine = None
+        # Chunk codec threads: >0 splits each window's novel-chunk
+        # encodes across a scheduler lane that wide (zlib releases the
+        # GIL); 0 encodes on the saving thread alone.
+        self.engine: Optional[ParallelChunkEngine] = None
         if parallel_workers > 0:
-            from .parallel import ParallelChunkEngine
-
             self.engine = ParallelChunkEngine(
-                parallel_workers,
-                codec=self.codec,
-                staging=staging_pool,
-                dict_dir=self.chunks.dicts_dir,
-                start_method=start_method,
+                parallel_workers, codec=self.codec, dict_dir=self.chunks.dicts_dir
             )
+            self.engine.fault = self._fault
         self._manifests = _JsonlJournal(
             os.path.join(root, "manifests.jsonl"), "manifest", self._fault
         )
@@ -614,16 +603,6 @@ class DedupBackend(CheckpointBackend):
         for :meth:`_write` to reuse them (one shared SHA-256 sweep)."""
         return self.chunk_bytes
 
-    @property
-    def staging_pool(self):
-        """The engine's shared-memory staging pool (None without one).
-
-        The manager hands this to :class:`~repro.ckpt.async_writer.
-        AsyncWriteBackend` so the async staging copy lands directly in
-        shared memory — the same bytes the workers then hash/compress,
-        one copy total."""
-        return self.engine.staging if self.engine is not None else None
-
     def train_codec_dictionary(
         self, max_samples: int = 64, max_bytes: int = 16 * 1024
     ) -> Optional[str]:
@@ -651,25 +630,7 @@ class DedupBackend(CheckpointBackend):
         dict_digest = self.chunks.store_dictionary(dictionary)
         self.codec = make_chunk_codec(self.codec.name, self.codec.level, dictionary)
         if self.engine is not None:
-            from .parallel import ParallelChunkEngine
-
-            staging = self._shared_staging
-            owned_staging = None
-            if staging is None:
-                # Keep the existing pool alive across the engine swap —
-                # an async pipeline may already stage into it.
-                owned_staging = self.engine.staging
-                self.engine._owns_staging = False
-            self.engine.close()
-            self.engine = ParallelChunkEngine(
-                self._parallel_workers,
-                codec=self.codec,
-                staging=staging if staging is not None else owned_staging,
-                dict_dir=self.chunks.dicts_dir,
-                start_method=self._start_method,
-            )
-            if owned_staging is not None:
-                self.engine._owns_staging = True
+            self.engine.codec = self.codec
         return dict_digest
 
     def _novel_indices(self, digest_lists: Sequence[List[str]]) -> List[List[int]]:
@@ -692,35 +653,31 @@ class DedupBackend(CheckpointBackend):
     ) -> List[Dict[int, Optional[bytes]]]:
         """Framed encoded bodies for the novel chunks of each rope.
 
-        Prefers the worker pool (one round trip for every rope;
-        compression fans out, byte counts come back over the result
-        queue); a rope the pool cannot take streams the codec
-        in-process.  Only chunks that will actually hit disk are
-        encoded — dedup hits and chunks repeated anywhere in the window
-        never cost a compression pass, which is how the "≤1 compression
-        pass per persisted byte" invariant stays an inequality.
+        Split across the engine's codec threads when one is attached,
+        encoded on this thread otherwise.  Only chunks that will
+        actually hit disk are encoded — dedup hits and chunks repeated
+        anywhere in the window never cost a compression pass, which is
+        how the "≤1 compression pass per persisted byte" invariant stays
+        an inequality.
         """
         if self.codec is None:
             return [{} for _ in ropes]
         jobs = list(zip(ropes, self._novel_indices(digests)))
-        from_engine = (
-            self.engine.encode_chunks(jobs, self.chunk_bytes)
-            if self.engine is not None else [None] * len(jobs)
-        )
+        if self.engine is not None:
+            return self.engine.encode_chunks(jobs, self.chunk_bytes)
         out: List[Dict[int, Optional[bytes]]] = []
-        for (rope, novel), encoded in zip(jobs, from_engine):
-            if encoded is None:
-                encoded = {}
-                slices = list(rope.chunk_slices(self.chunk_bytes)) if novel else []
-                for index in novel:
-                    parts = slices[index]
-                    raw_len = sum(len(part) for part in parts)
-                    body = encode_chunk_file(self.codec, parts)
-                    encoded[index] = body
-                    if rope.meters is not None:
-                        rope.meters.count_compressed(
-                            raw_len, len(body) if body is not None else raw_len
-                        )
+        for rope, novel in jobs:
+            encoded: Dict[int, Optional[bytes]] = {}
+            slices = list(rope.chunk_slices(self.chunk_bytes)) if novel else []
+            for index in novel:
+                parts = slices[index]
+                raw_len = sum(len(part) for part in parts)
+                body = encode_chunk_file(self.codec, parts)
+                encoded[index] = body
+                if rope.meters is not None:
+                    rope.meters.count_compressed(
+                        raw_len, len(body) if body is not None else raw_len
+                    )
             out.append(encoded)
         return out
 
@@ -729,12 +686,10 @@ class DedupBackend(CheckpointBackend):
         """Digest and encode a window's rope payloads before any write.
 
         Single-hash-pass path: digests come from each rope's cache when
-        the manager's delta-save check already computed them, from one
-        worker-pool round when an engine is attached, and from the
-        rope's own single sweep otherwise; the novel chunks of the whole
-        window are then encoded in one more round.  :meth:`_write`
-        consumes the results.  Whatever the engine staged for the window
-        is released however the window ends.
+        the manager's delta-save check already computed them, and from
+        the rope's own single sweep otherwise; the novel chunks of the
+        whole window are then encoded in one round.  :meth:`_write`
+        consumes the results, which are dropped however the window ends.
         """
         ropes = list({
             id(payload): payload for payload in payloads
@@ -753,8 +708,6 @@ class DedupBackend(CheckpointBackend):
         finally:
             for rope in ropes:
                 self._prepared.pop(id(rope), None)
-                if self.engine is not None:
-                    self.engine.finish(rope)
 
     def _write(self, key: str, payload, stamp: int, node) -> None:
         if isinstance(payload, PayloadFrames):
@@ -879,33 +832,15 @@ class DedupBackend(CheckpointBackend):
         return payload
 
     def _read_chunks(self, digests: Sequence[str]) -> List[bytes]:
-        """Chunk bodies in manifest order, decompressing as needed.
-
-        With an engine attached, encoded chunks are decompressed by the
-        worker pool (restore-side fan-out); otherwise — or if the pool
-        degrades mid-read — each chunk decodes in-process.
-        """
-        if self.engine is None or not self.engine.enabled:
+        """Chunk bodies in manifest order, decompressed on the calling
+        thread (through the engine's ``decode_chunks`` when attached)."""
+        if self.engine is None:
             return [self.chunks.read_chunk(digest) for digest in digests]
         stored = [self.chunks.read_chunk_stored(digest) for digest in digests]
-        blobs = [data for data, is_encoded in stored if is_encoded]
-        decoded = self.engine.decode_chunks(blobs) if blobs else []
-        if decoded is None:  # pool degraded: decode in-process
-            return [
-                decode_chunk_file(data, self.chunks.load_dictionary,
-                                  self.chunks._decode_cache)
-                if is_encoded else data
-                for data, is_encoded in stored
-            ]
-        out: List[bytes] = []
-        cursor = 0
-        for data, is_encoded in stored:
-            if is_encoded:
-                out.append(decoded[cursor])
-                cursor += 1
-            else:
-                out.append(data)
-        return out
+        decoded = iter(self.engine.decode_chunks(
+            [data for data, is_encoded in stored if is_encoded]
+        ))
+        return [next(decoded) if is_encoded else data for data, is_encoded in stored]
 
     # -- metadata -------------------------------------------------------
     def stamp_of(self, key: str) -> int:
@@ -968,12 +903,6 @@ class DedupBackend(CheckpointBackend):
             self._finish_batch(crashed=isinstance(exc, CrashInjected))
             raise
         self._finish_batch()
-
-    def close(self) -> None:
-        """Shut down the parallel engine (workers, shared memory)."""
-        if self.engine is not None:
-            self.engine.close()
-        super().close()
 
     # -- maintenance ----------------------------------------------------
     def gc(self) -> GCReport:

@@ -298,7 +298,7 @@ class PayloadFrames:
     ``len(payload)`` works unchanged for ``bytes`` and frames alike.
     """
 
-    __slots__ = ("frames", "nbytes", "meters", "region", "_digest_cache")
+    __slots__ = ("frames", "nbytes", "meters", "_digest_cache")
 
     def __init__(
         self,
@@ -322,11 +322,6 @@ class PayloadFrames:
         self.frames = tuple(normalized)
         self.nbytes = nbytes
         self.meters = meters
-        # Set when the rope's single frame lives inside a shared-memory
-        # staging arena (see ``repro.ckpt.parallel.SharedStagingPool``):
-        # lets the parallel engine hand workers an (arena, offset, len)
-        # address instead of pickling payload bytes.
-        self.region = None
         # chunk size -> chunk digests, computed at most once per size.
         self._digest_cache: Dict[int, List[str]] = (
             _digest_cache if _digest_cache is not None else {}
@@ -380,20 +375,6 @@ class PayloadFrames:
         self._digest_cache[chunk_bytes] = digests
         return digests
 
-    def peek_digests(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Optional[List[str]]:
-        """Return cached chunk digests without computing (None if absent)."""
-        return self._digest_cache.get(chunk_bytes)
-
-    def seed_digests(self, chunk_bytes: int, digests: List[str]) -> None:
-        """Install externally computed chunk digests into the cache.
-
-        The parallel save engine computes digests in worker processes
-        and seeds them here so every downstream consumer (delta-save
-        check, dedup chunk addressing) still sees a single hash pass.
-        The caller is responsible for metering the hash bytes it spent.
-        """
-        self._digest_cache[chunk_bytes] = list(digests)
-
     def entry_digest(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> str:
         """Content digest derived from the chunk digests.
 
@@ -444,16 +425,10 @@ class PayloadFrames:
         The staging copy of the async write pipeline: the returned rope
         no longer aliases the caller's arrays (mutation-safe), is
         read-only, and **shares the digest cache**, so digests computed
-        before staging are never recomputed downstream.
-
-        ``buffer`` is anything exporting the buffer protocol (the
-        classic pooled ``bytearray``) or a shared-memory slice exposing
-        ``.view``/``.region`` (``SharedStagingPool.acquire``); in the
-        latter case the returned rope carries the slice's region so
-        downstream layers can address the staged bytes cross-process.
+        before staging are never recomputed downstream.  ``buffer`` is
+        anything exporting the buffer protocol (the pooled ``bytearray``).
         """
-        region = getattr(buffer, "region", None)
-        view = buffer.view if hasattr(buffer, "view") else memoryview(buffer)
+        view = memoryview(buffer)
         if len(view) < self.nbytes:
             raise ValueError(
                 f"staging buffer too small: {len(view)} < {self.nbytes}"
@@ -465,13 +440,11 @@ class PayloadFrames:
             offset = end
         if self.meters is not None:
             self.meters.count_copied(self.nbytes)
-        staged = PayloadFrames(
+        return PayloadFrames(
             [view[: self.nbytes].toreadonly()],
             meters=self.meters,
             _digest_cache=self._digest_cache,
         )
-        staged.region = region
-        return staged
 
 
 def write_payload(handle, payload: Union[bytes, PayloadFrames]) -> None:

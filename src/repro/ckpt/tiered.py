@@ -537,13 +537,6 @@ class TieredBackend(CheckpointBackend):
     def digest_chunk_bytes(self) -> int:
         return self.local.digest_chunk_bytes
 
-    @property
-    def staging_pool(self):
-        """The local tier's shared staging pool, when it has one — so
-        the async pipeline's staging copy still lands once, in shared
-        memory, with a dedup local tier."""
-        return getattr(self.local, "staging_pool", None)
-
     # -- write path ------------------------------------------------------
     def _write(self, key: str, payload: Payload, stamp: int, node) -> None:
         self.local.put_serialized(key, payload, stamp, node)

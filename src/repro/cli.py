@@ -226,11 +226,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             registry=observer.registry,
         )
         if args.async_writes:
-            # Share the chunk engine's shared-memory staging pool (when
-            # one exists) so async staging copies land worker-visible.
-            store = AsyncWriteBackend(
-                store, staging_pool=getattr(store, "staging_pool", None)
-            )
+            store = AsyncWriteBackend(store)
         manager = MoCCheckpointManager(
             model, optimizer, config, disk_store=store, topology=topology,
             # Delta saves are the dedup tier's natural companion: an
@@ -359,11 +355,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                 engine = chunk_store.engine
                 rows.extend([
                     ("chunk codec",
-                     chunk_store.codec.spec()["name"]
+                     chunk_store.codec.name
                      if chunk_store.codec is not None else "none"),
                     ("parallel workers",
-                     engine.workers if engine is not None and engine.enabled
-                     else 0),
+                     engine.workers if engine is not None else 0),
                     ("encoded chunks", local_fsck.encoded_chunks),
                     ("compression ratio (enc/raw)",
                      total["bytes_compressed_out"] / total["bytes_compressed"]
@@ -616,7 +611,6 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         ops_per_run=args.ops,
         max_kills=args.max_kills,
-        worker_kill_runs=args.worker_kill_runs,
         remote_fault_rate=args.remote_fault_rate,
         base_rate=args.base_rate,
         step_rate=args.step_rate,
@@ -638,7 +632,6 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         ("runs failed", result.runs_failed),
         ("faults injected", result.kills_total),
         ("seams killed", f"{len(result.seam_kills)}/{len(seams)}"),
-        ("worker kills", result.worker_kills),
         ("escalations", result.escalations),
         ("circular detections", result.circular_detections),
         ("no-fire runs", result.no_fire_runs),
@@ -781,7 +774,6 @@ def _cmd_chaos_report(args: argparse.Namespace) -> int:
         ("runs ok", payload.get("runs_ok", 0)),
         ("runs failed", payload.get("runs_failed", 0)),
         ("faults injected", payload.get("kills_total", 0)),
-        ("worker kills", payload.get("worker_kills", 0)),
         ("escalations", payload.get("escalations", 0)),
         ("circular detections", payload.get("circular_detections", 0)),
         ("digest", str(payload.get("digest", "?"))[:16]),
@@ -857,9 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--async-writes", action="store_true",
                       help="drain persist writes through the async pipeline")
     demo.add_argument("--parallel-workers", type=int, default=0,
-                      help="hash/compress worker processes for the dedup "
-                           "backend's save path (0 = in-process); workers "
-                           "read the payload from shared-memory staging")
+                      help="codec threads for the dedup backend's save "
+                           "path (0 = encode on the saving thread)")
     demo.add_argument("--codec", default=None,
                       choices=["zlib", "zstd", "lz4", "auto", "none"],
                       help="chunk-compression codec for the dedup backend "
@@ -984,10 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="storage operations per run")
     chaos_run.add_argument("--max-kills", type=int, default=3,
                            help="crash injections allowed per run")
-    chaos_run.add_argument("--worker-kill-runs", type=int, default=2,
-                           help="runs at the campaign tail that SIGKILL "
-                                "chunk-pool worker processes instead of "
-                                "injecting at a seam")
     chaos_run.add_argument("--remote-fault-rate", type=float, default=0.04,
                            help="transient fault probability of the "
                                 "simulated remote tier")

@@ -200,16 +200,15 @@ class MoCCheckpointManager:
         ``checkpoint`` returns once entries are staged; a deferred write
         error surfaces at the next checkpoint boundary.  Call
         :meth:`flush` for a durability barrier (``recover`` does so
-        automatically).  When the persist tier runs the parallel chunk
-        engine, its shared-memory staging pool is handed to the async
-        pipeline so staged entries are already worker-visible.
+        automatically).  The async staging copy is the one copy a saved
+        byte makes; the chunk codec reads it in place.
     chunk_codec / parallel_workers:
         Dedup-tier features, forwarded to
         :func:`~repro.ckpt.backend.make_backend` when the manager builds
         its own store (``backend="dedup"``): a chunk-compression codec
         name (``"zlib"``/``"zstd"``/``"lz4"``/``"auto"``) or
         :class:`~repro.ckpt.codec.ChunkCodec` instance, and the number
-        of hash/compress worker processes (0 = in-process).
+        of chunk-codec threads (0 = encode on the saving thread).
     remote_latency / remote_fault_rate / upload_workers / local_keep_stamps:
         Tiered-backend knobs, forwarded to :func:`make_backend` when
         ``backend="tiered"``: simulated remote per-op latency and fault
@@ -292,14 +291,7 @@ class MoCCheckpointManager:
                 "as disk_store instead"
             )
         if async_writes and not isinstance(disk_store, AsyncWriteBackend):
-            # Share the parallel engine's shared-memory staging pool with
-            # the async pipeline: entries staged for the background writer
-            # land directly in a worker-visible arena, so the engine can
-            # hash/compress the staged copy without a second copy.
-            disk_store = AsyncWriteBackend(
-                disk_store,
-                staging_pool=getattr(disk_store, "staging_pool", None),
-            )
+            disk_store = AsyncWriteBackend(disk_store)
         self.memory_store = memory_store if memory_store is not None else InMemoryKVStore()
         self.disk_store = disk_store
         # Optional precision codec: entries are downcast on save and

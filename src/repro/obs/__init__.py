@@ -1,7 +1,7 @@
 """Unified observability layer: one metrics registry, one span tracer.
 
 Every layer of the storage stack (serializer, async writer, dedup
-engine, worker pool, tiered uploads, parallel restore) accounts its
+engine, codec threads, tiered uploads, parallel restore) accounts its
 events here instead of in ad-hoc private ints:
 
 - :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
@@ -9,8 +9,8 @@ events here instead of in ad-hoc private ints:
   lock-striped, with snapshot/delta semantics and Prometheus-style
   text exposition.
 - :mod:`repro.obs.trace` — nested span tracing
-  (``with span("upload", key=...)``) with thread-safe buffers, worker
-  spans merged by pid/tid, exported as Chrome trace-event JSON
+  (``with span("upload", key=...)``) with thread-safe per-thread
+  buffers, exported as Chrome trace-event JSON
   loadable in Perfetto (or summarized by ``moc-repro stats``).
 - :mod:`repro.obs.stats` — validation and per-phase summarization of
   exported traces.

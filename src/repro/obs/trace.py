@@ -4,8 +4,8 @@ The tracer answers the *when* question the metrics registry cannot:
 ``with span("upload", key=...)`` records a begin/end ("B"/"E") event
 pair into a per-thread buffer; ``trace_counter("queue_depth", n)``
 records a "C" sample.  ``export()`` merges every thread's buffer (plus
-spans shipped back from worker *processes* — see :func:`merge_spans`),
-sorts by timestamp, closes any still-open spans, and emits a Chrome
+completed spans folded in with :func:`merge_spans`), sorts by
+timestamp, closes any still-open spans, and emits a Chrome
 trace-event JSON object that loads directly in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``.
 
@@ -17,12 +17,10 @@ real save.  Enabled-mode recording appends one small dict per event to
 a thread-local list; no locks on the hot path (the registry of thread
 buffers is touched once per thread lifetime).
 
-Worker processes do not share the parent tracer's buffers.  Instead
-``ChunkWorkerPool`` workers time their tasks locally (as plain
-``{"name", "ts", "dur", "pid", "tid", "args"}`` dicts), ship them back
-over the existing result queue, and the engine folds them in with
-:func:`merge_spans`; Perfetto then renders them on their own pid/tid
-tracks next to the parent's.
+A wait measured before any span could be opened (the staging pool's
+``staging-wait``) is recorded after the fact as a completed
+``{"name", "ts", "dur", "pid", "tid", "args"}`` dict and folded in
+with :func:`merge_spans`; Perfetto renders it on its own pid/tid track.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ __all__ = [
 
 # Anchor a wall-clock epoch once so ``now_us`` is monotonic within the
 # process (perf_counter based) while still aligning across processes
-# (forked workers inherit the anchor; spawned workers re-derive one
-# that agrees to within clock-read jitter).
+# (each derives an anchor that agrees to within clock-read jitter).
 _EPOCH_US = time.time() * 1e6 - time.perf_counter() * 1e6
 
 
@@ -203,12 +200,12 @@ class Tracer:
         buf.events.append(event)
 
     def merge_spans(self, spans: Iterable[Mapping[str, Any]]) -> None:
-        """Fold completed spans shipped from another process/thread.
+        """Fold completed spans recorded after the fact.
 
         Each span is a ``{"name", "ts", "dur", "pid", "tid", "args"?}``
         dict (timestamps in µs).  They are expanded into balanced B/E
         pairs at export time, keyed by the *originating* pid/tid so
-        Perfetto renders them on the worker's own track.
+        Perfetto renders them on that thread's own track.
         """
         cleaned = []
         for item in spans:
@@ -232,8 +229,8 @@ class Tracer:
 
         Events are globally sorted by timestamp (ties keep per-thread
         insertion order, preserving B-before-E).  Spans still open at
-        export time — e.g. a worker killed mid-task, or an export taken
-        inside an outer span — are closed with a synthesized "E" carrying
+        export time — e.g. an export taken inside an outer span — are
+        closed with a synthesized "E" carrying
         ``{"truncated": true}`` so the output is always balanced.  The
         synthesized closes exist only in the exported copy; live buffers
         are untouched.
@@ -285,7 +282,7 @@ def complete_span_dict(
     end_us: int,
     args: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build a shippable completed-span dict (used by worker processes)."""
+    """Build a completed-span dict for :func:`merge_spans`."""
     return {
         "name": name,
         "ts": int(start_us),
@@ -323,5 +320,5 @@ def trace_counter(name: str, value: float) -> None:
 
 
 def merge_spans(spans: Iterable[Mapping[str, Any]]) -> None:
-    """Fold worker-shipped spans into the default tracer."""
+    """Fold completed-span dicts into the default tracer."""
     _DEFAULT_TRACER.merge_spans(spans)

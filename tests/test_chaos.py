@@ -1,9 +1,9 @@
 """Chaos campaign engine: seeded fault injection, recovery, determinism.
 
 The headline test is the ISSUE acceptance criterion: a seeded 1000-run
-campaign over the tiered+dedup stack — kills at every registered seam
-plus SIGKILLed pool workers — completes with zero fsck errors and zero
-unrecoverable runs, reproducibly by seed.
+campaign over the tiered+dedup stack — kills at every registered seam —
+completes with zero fsck errors and zero unrecoverable runs,
+reproducibly by seed.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ class TestSingleRun:
         assert [seam for _, seam in result.kills] == ["refs:mid-append"]
         assert "reopen" in result.recovery_actions
 
-    def test_worker_kill_run_downgrades_engine(self, tmp_path):
-        run = ChaosRun(
-            backend="dedup", campaign_seed=5, runs=1, run_index=0,
-            root=str(tmp_path / "r"), worker_kill=True,
-            registry=MetricsRegistry(),
-        )
-        result = run.execute()
-        assert result.ok
-        assert result.worker_kill
-
     def test_metrics_count_injected_faults(self, tmp_path):
         registry = MetricsRegistry()
         run = ChaosRun(
@@ -134,7 +124,6 @@ class TestCampaign:
         seams = seams_for(backend)
         config = CampaignConfig(
             backend=backend, runs=len(seams) + 4, seed=7,
-            worker_kill_runs=1 if backend != "async-tiered" else 0,
         )
         result = run_campaign(config, registry=MetricsRegistry())
         assert result.ok
@@ -150,32 +139,32 @@ class TestCampaign:
         assert missing == []
 
     def test_same_seed_same_digest(self):
-        config = CampaignConfig(backend="dedup", runs=10, seed=21, worker_kill_runs=1)
+        config = CampaignConfig(backend="dedup", runs=10, seed=21)
         a = run_campaign(config, registry=MetricsRegistry())
         b = run_campaign(config, registry=MetricsRegistry())
         assert a.digest() == b.digest()
 
     def test_different_seed_different_digest(self):
         a = run_campaign(
-            CampaignConfig(backend="dedup", runs=10, seed=21, worker_kill_runs=0),
+            CampaignConfig(backend="dedup", runs=10, seed=21),
             registry=MetricsRegistry(),
         )
         b = run_campaign(
-            CampaignConfig(backend="dedup", runs=10, seed=22, worker_kill_runs=0),
+            CampaignConfig(backend="dedup", runs=10, seed=22),
             registry=MetricsRegistry(),
         )
         assert a.digest() != b.digest()
 
     def test_single_run_repro(self):
         """--run-index replays one run of the campaign bit-identically."""
-        config = CampaignConfig(backend="dedup", runs=10, seed=21, worker_kill_runs=0)
+        config = CampaignConfig(backend="dedup", runs=10, seed=21)
         full = run_campaign(config, registry=MetricsRegistry())
         solo = run_campaign(config, registry=MetricsRegistry(), run_index=3)
         assert solo.run_results[0]["kills"] == full.run_results[3]["kills"]
         assert solo.run_results[0]["seed"] == full.run_results[3]["seed"]
 
     def test_adaptive_decisions_recorded(self):
-        config = CampaignConfig(backend="dedup", runs=12, seed=7, worker_kill_runs=0)
+        config = CampaignConfig(backend="dedup", runs=12, seed=7)
         result = run_campaign(config, registry=MetricsRegistry())
         assert len(result.decisions) == config.runs
         last = result.decisions[-1]
@@ -188,7 +177,7 @@ class TestCampaign:
         assert last["faults_observed"] > 0
 
     def test_report_roundtrip(self, tmp_path):
-        config = CampaignConfig(backend="dedup", runs=6, seed=9, worker_kill_runs=0)
+        config = CampaignConfig(backend="dedup", runs=6, seed=9)
         result = run_campaign(config, registry=MetricsRegistry())
         path = tmp_path / "report.json"
         result.save(str(path))
@@ -199,7 +188,7 @@ class TestCampaign:
         assert payload["runs_ok"] == config.runs
 
     def test_trace_export_matches_fault_times(self):
-        config = CampaignConfig(backend="dedup", runs=8, seed=7, worker_kill_runs=0)
+        config = CampaignConfig(backend="dedup", runs=8, seed=7)
         result = run_campaign(config, registry=MetricsRegistry())
         trace = result.trace()
         assert trace.fault_times() == result.fault_times
@@ -331,10 +320,9 @@ class TestHeadlineCampaign:
         assert result.ok, "campaign had unrecoverable runs"
         assert result.runs_failed == 0
         assert result.runs_ok == 1000
-        # kills at every registered seam, including SIGKILLed workers
+        # kills at every registered seam
         missing = [s for s in TIERED_SEAMS if s not in result.seam_kills]
         assert missing == [], f"seams never killed: {missing}"
-        assert result.worker_kills >= 1
         assert result.kills_total > 100
         # the online loop reacted to the step change: the post-step
         # interval dropped below the pre-step interval

@@ -305,7 +305,7 @@ class TestChaos:
         # coverage prefix reaches every seam (incl. the iosched ones).
         assert main([
             "chaos", "run", "--backend", "dedup", "--runs", "12",
-            "--seed", "7", "--worker-kill-runs", "0",
+            "--seed", "7",
         ]) == 0
         out = capsys.readouterr().out
         assert "runs ok: 12" in out
@@ -316,7 +316,7 @@ class TestChaos:
     def test_chaos_run_single_index_repro(self, capsys):
         assert main([
             "chaos", "run", "--backend", "dedup", "--runs", "10",
-            "--seed", "7", "--run-index", "2", "--worker-kill-runs", "0",
+            "--seed", "7", "--run-index", "2",
         ]) == 0
         assert "runs ok: 1" in capsys.readouterr().out
 
@@ -325,7 +325,7 @@ class TestChaos:
         trace = tmp_path / "trace.jsonl"
         assert main([
             "chaos", "run", "--backend", "dedup", "--runs", "9",
-            "--seed", "3", "--worker-kill-runs", "0",
+            "--seed", "3",
             "--report", str(report), "--trace-out", str(trace),
         ]) == 0
         capsys.readouterr()

@@ -1,37 +1,34 @@
-"""The multi-process chunk hash/compress save engine, pinned end to end.
+"""The chunk codec engine on I/O-scheduler threads, pinned end to end.
 
 Four properties this suite exists to hold:
 
-* **shared staging** — :class:`SharedStagingPool` carves picklable
-  extents from one shared-memory arena with exact free-list coalescing,
-  inherits the base pool's FIFO admission, and unlinks every segment on
-  close;
-* **cross-process correctness** — digests, encoded chunk bodies and
-  decoded chunks computed by the worker pool are bit-identical to the
-  in-process path, for arbitrary entries;
-* **meter invariants survive the process boundary** — with workers
-  enabled the live manager still shows exactly one SHA-256 sweep, at
-  most one staging copy, and at most one compression pass per persisted
-  byte (worker-reported byte counts fold back into
-  :class:`PipelineMeters`);
+* **thread correctness** — digests, encoded chunk bodies and decoded
+  chunks from the engine are bit-identical to the single-thread path,
+  for arbitrary entries, and ``ChunkCodec.stats`` stays exact while
+  several threads encode through one codec;
+* **no task outlives its window** — a failing codec task surfaces only
+  after its sibling tasks have finished, before any chunk is written;
+* **meter invariants** — with codec threads the live manager still
+  shows exactly one SHA-256 sweep, no staging copy on the sync path and
+  exactly one on the async path, and at most one compression pass per
+  persisted byte;
 * **composition** — the engine + codec compose with dedup (chunks stay
-  addressed by uncompressed digest), delta saves, the async pipeline
-  (whose staging copy lands in the worker-visible arena) and recovery.
+  addressed by uncompressed digest), delta saves, the async pipeline,
+  concurrent restore lanes and recovery.
 """
 
 from __future__ import annotations
 
-import multiprocessing.shared_memory as shared_memory
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.ckpt import dedup as dedup_module
+from repro.ckpt import parallel as parallel_module
 from repro.ckpt import (
-    AsyncWriteBackend,
-    ChunkWorkerPool,
     CrashInjected,
     DedupBackend,
     ParallelChunkEngine,
@@ -39,7 +36,6 @@ from repro.ckpt import (
     PayloadFrames,
     PipelineMeters,
     ReadRequest,
-    SharedStagingPool,
     chunk_digest,
     chunk_payload,
     decode_chunk_file,
@@ -48,6 +44,7 @@ from repro.ckpt import (
     serialize_entry,
 )
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
+from repro.io.scheduler import get_scheduler
 from repro.testing import TINY, random_entry, seeded_rng, tiny_model_and_optimizer
 
 WORKERS = 2
@@ -72,87 +69,38 @@ def frames_of(entry: dict, meters: PipelineMeters = None) -> PayloadFrames:
     return PayloadFrames.from_entry(entry, meters=meters)
 
 
-class TestSharedStagingPool:
-    def test_acquired_slice_is_addressable_cross_attach(self):
-        pool = SharedStagingPool(4096)
-        try:
-            buf = pool.acquire(512)
-            assert len(buf) == 512
-            buf.view[:] = bytes(range(256)) * 2
-            region = buf.region
-            assert region.segment == pool.segment_name
-            # a fresh attach (what a worker does) sees the same bytes
-            remote = shared_memory.SharedMemory(name=region.segment)
-            seen = bytes(remote.buf[region.offset:region.offset + region.nbytes])
-            remote.close()
-            assert seen == bytes(range(256)) * 2
-            pool.release(buf)
-        finally:
-            pool.close()
+def all_chunks(payload: PayloadFrames) -> list:
+    """Every chunk index of ``payload`` at :data:`CHUNK` granularity."""
+    return list(range((payload.nbytes + CHUNK - 1) // CHUNK))
 
-    def test_extents_coalesce_back_to_whole_arena(self):
-        pool = SharedStagingPool(4096)
-        try:
-            a = pool.acquire(1024)
-            b = pool.acquire(1024)
-            c = pool.acquire(1024)
-            # release out of order: neighbour coalescing must stitch the
-            # free list back into one extent either way
-            for buf in (b, a, c):
-                pool.release(buf)
-            assert pool.idle_buffers == 1
-            assert pool.arena_in_use == 0
-            whole = pool.try_acquire(4096)  # only possible if coalesced
-            assert whole is not None
-            pool.release(whole)
-        finally:
-            pool.close()
 
-    def test_oversize_gets_dedicated_segment_and_unlinks_on_release(self):
-        pool = SharedStagingPool(1024)
-        try:
-            big = pool.acquire(8192)
-            assert big.region.segment != pool.segment_name
-            name = big.region.segment
-            pool.release(big)
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        finally:
-            pool.close()
+def run_concurrently(work, threads: int = 2, timeout: float = 30.0) -> None:
+    """Run ``work(index)`` on ``threads`` threads; fail if any hangs or raises."""
+    errors = []
 
-    def test_oversize_waits_for_idle_arena(self):
-        pool = SharedStagingPool(1024)
+    def body(index):
         try:
-            held = pool.acquire(64)
-            # oversize liveness rule: nothing may be in flight
-            assert pool.try_acquire(8192) is None
-            pool.release(held)
-            big = pool.try_acquire(8192)
-            assert big is not None
-            pool.release(big)
-        finally:
-            pool.close()
+            work(index)
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
 
-    def test_close_unlinks_arena_and_is_idempotent(self):
-        pool = SharedStagingPool(1024)
-        buf = pool.acquire(64)
-        name = pool.segment_name
-        pool.release(buf)
-        pool.close()
-        pool.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        with pytest.raises(RuntimeError):
-            pool.acquire(16)
-
-    def test_arena_exhaustion_returns_none_not_blocks(self):
-        pool = SharedStagingPool(1024)
-        try:
-            held = pool.acquire(1024)
-            assert pool.try_acquire(512) is None
-            pool.release(held)
-        finally:
-            pool.close()
+    runners = [
+        threading.Thread(target=body, args=(index,), daemon=True)
+        for index in range(threads)
+    ]
+    # Frequent thread switches interleave the threads as finely as the
+    # interpreter allows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners), "a thread hung"
+    assert not errors, errors
 
 
 class TestEngineDigests:
@@ -160,71 +108,37 @@ class TestEngineDigests:
     def test_worker_digests_match_in_process_sweep(self, seed):
         case = random_entry(seeded_rng(seed))
         expected = PayloadFrames.from_entry(case).chunk_digests(CHUNK)
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            payload = frames_of(case)
-            (got,) = engine.chunk_digests([payload], CHUNK)
-            engine.finish(payload)
+        (got,) = ParallelChunkEngine(WORKERS).chunk_digests([frames_of(case)], CHUNK)
         assert got == expected, f"seed={seed}"
 
     def test_digests_seed_rope_cache_and_count_one_hash_pass(self):
         meters = PipelineMeters()
         payload = frames_of(compressible_entry(), meters)
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            engine.chunk_digests([payload], CHUNK)
-            assert meters.bytes_hashed == payload.nbytes  # exactly one sweep
-            # second ask is a cache hit: no new tasks, no rehash
-            before = engine.tasks_dispatched
-            engine.chunk_digests([payload], CHUNK)
-            assert engine.tasks_dispatched == before
-            assert meters.bytes_hashed == payload.nbytes
-            engine.finish(payload)
+        engine = ParallelChunkEngine(WORKERS)
+        first = engine.chunk_digests([payload], CHUNK)
+        assert meters.bytes_hashed == payload.nbytes  # exactly one sweep
+        # second ask is a cache hit: no rehash
+        assert engine.chunk_digests([payload], CHUNK) == first
+        assert meters.bytes_hashed == payload.nbytes
 
     def test_cached_delta_save_digests_skip_the_fanout_entirely(self):
         # the manager's delta-save sweep runs first; the engine must
         # reuse it — one hash pass wherever it happens
-        payload = frames_of(compressible_entry())
-        cached = payload.chunk_digests(CHUNK)
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            assert engine.chunk_digests([payload], CHUNK) == [cached]
-            assert engine.tasks_dispatched == 0
-            engine.finish(payload)
-
-    def test_tiny_payload_falls_back_in_process(self):
-        payload = frames_of({"x": np.ones(2)})
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            (got,) = engine.chunk_digests([payload], 1 << 20)
-            assert engine.tasks_dispatched == 0
-        assert got == PayloadFrames.from_entry({"x": np.ones(2)}).chunk_digests(1 << 20)
-
-    def test_engine_stages_at_most_one_copy(self):
         meters = PipelineMeters()
         payload = frames_of(compressible_entry(), meters)
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 20) as engine:
-            engine.chunk_digests([payload], CHUNK)
-            assert meters.bytes_copied == payload.nbytes  # the ONE copy
-            engine.finish(payload)
-            assert payload.region is None  # staging released
+        cached = payload.chunk_digests(CHUNK)
+        assert ParallelChunkEngine(WORKERS).chunk_digests([payload], CHUNK) == [cached]
+        assert meters.bytes_hashed == payload.nbytes
 
-    def test_prestaged_payload_is_not_copied_again(self):
-        # the async pipeline's staging copy lands in the shared pool;
-        # the engine must reuse that region with zero further copies
-        pool = SharedStagingPool(1 << 20)
+    def test_engine_makes_no_staging_copy(self):
+        # encodes read zero-copy chunk slices of the caller's rope
         meters = PipelineMeters()
-        source = frames_of(compressible_entry(), meters)
-        slice_ = pool.acquire(source.nbytes)
-        staged = source.snapshot_into(slice_)
-        copied_once = meters.bytes_copied
-        assert staged.region is not None
-        with ParallelChunkEngine(WORKERS, staging=pool) as engine:
-            (digests,) = engine.chunk_digests([staged], CHUNK)
-            engine.finish(staged)  # engine did not stage: must be a no-op
-            assert staged.region is not None
-        assert meters.bytes_copied == copied_once
-        assert digests == PayloadFrames.from_entry(
-            compressible_entry()).chunk_digests(CHUNK)
-        del staged  # drop the rope's arena views so the segment can close
-        pool.release(slice_)
-        pool.close()
+        payload = frames_of(compressible_entry(4096), meters)
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        engine.chunk_digests([payload], CHUNK)
+        engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        assert meters.bytes_compressed == payload.nbytes
+        assert meters.bytes_copied == 0
 
 
 class TestEngineEncodeDecode:
@@ -232,14 +146,12 @@ class TestEngineEncodeDecode:
         codec = make_chunk_codec("zlib")
         case = compressible_entry(4096)
         raw_chunks = chunk_payload(serialize_entry(case), CHUNK)
-        with ParallelChunkEngine(
-            WORKERS, codec=codec, arena_bytes=1 << 20
-        ) as engine:
-            payload = frames_of(case)
-            indices = list(range(len(raw_chunks)))
-            (encoded,) = engine.encode_chunks([(payload, indices)], CHUNK)
-            engine.finish(payload)
-        assert encoded is not None and set(encoded) == set(indices)
+        indices = list(range(len(raw_chunks)))
+        engine = ParallelChunkEngine(WORKERS, codec=codec)
+        (encoded,) = engine.encode_chunks([(frames_of(case), indices)], CHUNK)
+        assert set(encoded) == set(indices)
+        # the saving thread encodes one share, lane tasks the others
+        assert engine.tasks_dispatched == WORKERS - 1
 
         def no_dict(digest):
             raise KeyError(digest)
@@ -251,30 +163,18 @@ class TestEngineEncodeDecode:
             assert decode_chunk_file(body, no_dict) == raw_chunks[index]
 
     def test_incompressible_chunks_come_back_none(self):
-        codec = make_chunk_codec("zlib")
-        case = incompressible_entry(4096)
-        with ParallelChunkEngine(
-            WORKERS, codec=codec, arena_bytes=1 << 20
-        ) as engine:
-            payload = frames_of(case)
-            n_chunks = (payload.nbytes + CHUNK - 1) // CHUNK
-            (encoded,) = engine.encode_chunks([(payload, list(range(n_chunks)))], CHUNK)
-            engine.finish(payload)
-        assert encoded is not None
+        payload = frames_of(incompressible_entry(4096))
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        (encoded,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
         # the header chunk may squeeze, but the random body must not
-        assert sum(1 for body in encoded.values() if body is None) >= n_chunks - 2
+        assert sum(1 for body in encoded.values() if body is None) >= len(encoded) - 2
 
     def test_encode_counts_at_most_one_compression_pass(self):
-        codec = make_chunk_codec("zlib")
         meters = PipelineMeters()
         payload = frames_of(compressible_entry(4096), meters)
-        with ParallelChunkEngine(
-            WORKERS, codec=codec, arena_bytes=1 << 20
-        ) as engine:
-            n_chunks = (payload.nbytes + CHUNK - 1) // CHUNK
-            subset = list(range(0, n_chunks, 2))  # only "novel" chunks
-            engine.encode_chunks([(payload, subset)], CHUNK)
-            engine.finish(payload)
+        subset = all_chunks(payload)[::2]  # only "novel" chunks
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        engine.encode_chunks([(payload, subset)], CHUNK)
         assert 0 < meters.bytes_compressed <= payload.nbytes
         # incompressible chunks count raw bytes as output (they hit the
         # wire raw), so out <= in always holds for zlib level 1 framing
@@ -285,58 +185,67 @@ class TestEngineEncodeDecode:
         raw_chunks = chunk_payload(serialize_entry(compressible_entry(4096)), CHUNK)
         bodies = []
         expected = []
-        from repro.ckpt import encode_chunk_file
-
         for chunk in raw_chunks:
             body = encode_chunk_file(codec, [chunk])
             if body is not None:
                 bodies.append(body)
                 expected.append(chunk)
         assert bodies
-        with ParallelChunkEngine(WORKERS, codec=codec, arena_bytes=1 << 16) as engine:
-            raws = engine.decode_chunks(bodies)
-        assert raws == expected
+        engine = ParallelChunkEngine(WORKERS, codec=codec)
+        assert engine.decode_chunks(bodies) == expected
+        assert engine.worker_cpu_seconds > 0.0
 
-    def test_no_codec_engine_returns_none_for_encode(self):
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 16) as engine:
-            payload = frames_of(compressible_entry())
-            assert engine.encode_chunks([(payload, [0])], CHUNK) == [None]
-            engine.finish(payload)
+    def test_no_codec_engine_encodes_nothing(self):
+        payload = frames_of(compressible_entry())
+        assert ParallelChunkEngine(WORKERS).encode_chunks([(payload, [0])], CHUNK) == [{}]
+
+    def test_threads_encoding_through_one_codec_keep_stats_exact(self):
+        codec = make_chunk_codec("zlib")
+        chunk = serialize_entry(compressible_entry(256))
+        rounds = 1000
+        sizes = [[] for _ in range(4)]
+
+        def encode(index):
+            for _ in range(rounds):
+                sizes[index].append(len(codec.encode(chunk)))
+
+        run_concurrently(encode, threads=len(sizes))
+        assert codec.stats.raw_bytes == len(sizes) * rounds * len(chunk)
+        assert codec.stats.encoded_bytes == sum(map(sum, sizes))
 
 
 class TestEnginePlanning:
     def test_no_items_plan_no_tasks(self):
-        with ParallelChunkEngine(WORKERS, arena_bytes=1 << 16) as engine:
-            assert engine._plan(0) == []
-            assert engine._plan(0, []) == []
+        engine = ParallelChunkEngine(WORKERS)
+        assert engine._plan(0) == []
+        assert engine._plan(0, []) == []
 
     def test_empty_rounds_dispatch_nothing(self):
-        codec = make_chunk_codec("zlib")
-        with ParallelChunkEngine(WORKERS, codec=codec, arena_bytes=1 << 16) as engine:
-            assert engine.chunk_digests([], CHUNK) == []
-            assert engine.encode_chunks([], CHUNK) == []
-            payload = frames_of(compressible_entry())
-            assert engine.encode_chunks([(payload, [])], CHUNK) == [None]
-            assert engine.tasks_dispatched == 0
-            assert payload.region is None  # nothing to encode: not staged
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        assert engine.chunk_digests([], CHUNK) == []
+        assert engine.encode_chunks([], CHUNK) == []
+        payload = frames_of(compressible_entry())
+        assert engine.encode_chunks([(payload, [])], CHUNK) == [{}]
+        assert engine.tasks_dispatched == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_ranges_cover_items_contiguously(self, workers):
-        with ParallelChunkEngine(workers, arena_bytes=1 << 16) as engine:
-            for n_items in range(1, 12):
-                ranges = engine._plan(n_items)
-                assert len(ranges) == min(workers, n_items)
-                assert ranges[0][0] == 0 and ranges[-1][1] == n_items
-                for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-                    assert stop == start
-                assert all(stop > start for start, stop in ranges)
+        engine = ParallelChunkEngine(workers)
+        for n_items in range(1, 12):
+            ranges = engine._plan(n_items)
+            assert len(ranges) == min(workers, n_items)
+            assert ranges[0][0] == 0 and ranges[-1][1] == n_items
+            for (_, stop), (start, _) in zip(ranges, ranges[1:]):
+                assert stop == start
+            assert all(stop > start for start, stop in ranges)
 
     def test_ranges_balance_bytes_not_counts(self):
         # 40 tiny chunks, then 40 full ones: a count split would hand
-        # one worker all the tiny chunks and the other all the work
+        # one thread all the tiny chunks and the other all the work
         sizes = [1] * 40 + [100] * 40
-        with ParallelChunkEngine(2, arena_bytes=1 << 16) as engine:
-            (a_start, a_stop), (b_start, b_stop) = engine._plan(len(sizes), sizes)
+        (a_start, a_stop), (b_start, b_stop) = ParallelChunkEngine(2)._plan(
+            len(sizes), sizes
+        )
         loads = [sum(sizes[a_start:a_stop]), sum(sizes[b_start:b_stop])]
         assert abs(loads[0] - loads[1]) <= max(sizes)
 
@@ -402,6 +311,7 @@ class TestDedupComposition:
             store.put(f"k{index}", compressible_entry(2048, seed=index), stamp=index)
         digest = store.train_codec_dictionary()
         if digest is not None:  # corpus was rich enough to train from
+            assert store.engine.codec is store.codec
             store.put("post", compressible_entry(2048, seed=9), stamp=9)
             assert np.array_equal(
                 store.get("post")["x"], compressible_entry(2048, seed=9)["x"]
@@ -436,8 +346,8 @@ def batch_entries() -> list:
 
 
 class TestBatchedWindows:
-    """``put_many_serialized`` makes one digest and one encode round
-    trip per window, and lands exactly what the in-process path does."""
+    """``put_many_serialized`` makes one encode round per window, and
+    lands exactly what the single-thread path does."""
 
     def run_batch(self, root, workers, monkeypatch=None):
         store = DedupBackend(
@@ -449,18 +359,18 @@ class TestBatchedWindows:
             (key, PayloadFrames.from_entry(case, meters=meters), 1, 0)
             for key, case in batch_entries()
         ]
-        collects = []
+        rounds = []
         if monkeypatch is not None:
-            collect = ChunkWorkerPool.collect
+            encode_chunks = ParallelChunkEngine.encode_chunks
 
-            def counted(pool, task_ids):
-                collects.append(len(task_ids))
-                return collect(pool, task_ids)
+            def counted(engine, jobs, chunk_bytes):
+                rounds.append(len(jobs))
+                return encode_chunks(engine, jobs, chunk_bytes)
 
-            monkeypatch.setattr(ChunkWorkerPool, "collect", counted)
+            monkeypatch.setattr(ParallelChunkEngine, "encode_chunks", counted)
         sizes = store.put_many_serialized(items)
         assert sizes == [payload.nbytes for _, payload, _, _ in items]
-        return store, meters, dedup_module._windows(items), collects
+        return store, meters, dedup_module._windows(items), rounds
 
     @staticmethod
     def encoded_files(root):
@@ -471,14 +381,13 @@ class TestBatchedWindows:
     def test_batch_matches_in_process_path(self, tmp_path, monkeypatch, window_bytes):
         monkeypatch.setattr(dedup_module, "WINDOW_BYTES", window_bytes)
         serial, serial_meters, _, _ = self.run_batch(tmp_path / "serial", 0)
-        pooled, meters, windows, collects = self.run_batch(
+        pooled, meters, windows, rounds = self.run_batch(
             tmp_path / "pooled", WORKERS, monkeypatch
         )
         try:
-            assert pooled.engine.enabled, pooled.engine.fallback_reason
             assert pooled.engine.tasks_dispatched > 0
-            # one digest + one encode round trip per window, not per entry
-            assert 0 < len(collects) <= 2 * len(windows)
+            # one encode round per window, not per entry
+            assert len(rounds) == len(windows)
             if window_bytes < dedup_module.WINDOW_BYTES:
                 assert len(windows) > 1
             assert pooled.keys() == serial.keys()
@@ -493,7 +402,6 @@ class TestBatchedWindows:
                 tmp_path / "serial"
             )
             assert self.encoded_files(tmp_path / "pooled")  # compression engaged
-            assert pooled.engine.staging.arena_in_use == 0
             assert pooled.fsck().ok
         finally:
             pooled.close()
@@ -519,158 +427,131 @@ class TestBatchedWindows:
         assert meters.bytes_compressed_out == serial_meters.bytes_compressed_out
 
     @pytest.mark.parametrize("failure", ["crash", "oserror"])
-    def test_failed_window_releases_its_staging(self, tmp_path, monkeypatch, failure):
+    def test_engine_survives_a_failed_window(self, tmp_path, monkeypatch, failure):
         store = DedupBackend(
             str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=WORKERS
         )
-        try:
-            items = [
-                (f"k{index}", compressible_entry(512, seed=index), 1, 0)
-                for index in range(6)
-            ]
-            # the third chunk write fails: mid-window, with every later
-            # entry of the window already staged
-            hits = {"count": 0}
-            write_chunk = store.chunks.write_chunk
+        items = [
+            (f"k{index}", compressible_entry(512, seed=index), 1, 0)
+            for index in range(6)
+        ]
+        # the third chunk write fails: mid-window, after its encode round
+        hits = {"count": 0}
+        write_chunk = store.chunks.write_chunk
 
-            def third(error):
-                hits["count"] += 1
-                if hits["count"] == 3:
-                    raise error
+        def third(error):
+            hits["count"] += 1
+            if hits["count"] == 3:
+                raise error
 
-            def failing(digest, data, encoded=None):
-                third(OSError("disk full"))
-                return write_chunk(digest, data, encoded=encoded)
+        def failing(digest, data, encoded=None):
+            third(OSError("disk full"))
+            return write_chunk(digest, data, encoded=encoded)
 
-            if failure == "crash":
-                store.fault_hook = (
-                    lambda point: point == "chunk:durable" and third(CrashInjected(point))
-                )
-                expected = CrashInjected
-            else:
-                monkeypatch.setattr(store.chunks, "write_chunk", failing)
-                expected = OSError
-            with pytest.raises(expected):
-                store.put_many(items)
-            assert store.engine.enabled
-            # every payload the window staged is released: later saves
-            # still get arena space and still reach the pool
-            assert store.engine.staging.arena_in_use == 0
-            store.fault_hook = None
-            monkeypatch.setattr(store.chunks, "write_chunk", write_chunk)
-            before = store.engine.tasks_dispatched
-            store.put_many([
-                (f"after{index}", compressible_entry(512, seed=50 + index), 2, 0)
-                for index in range(4)
-            ])
-            assert store.engine.tasks_dispatched > before
-            assert store.engine.staging.arena_in_use == 0
-        finally:
-            store.close()
+        if failure == "crash":
+            store.fault_hook = (
+                lambda point: point == "chunk:durable" and third(CrashInjected(point))
+            )
+            expected = CrashInjected
+        else:
+            monkeypatch.setattr(store.chunks, "write_chunk", failing)
+            expected = OSError
+        with pytest.raises(expected):
+            store.put_many(items)
+        store.fault_hook = None
+        monkeypatch.setattr(store.chunks, "write_chunk", write_chunk)
+        # later saves still reach the lane and land intact
+        before = store.engine.tasks_dispatched
+        after = [
+            (f"after{index}", compressible_entry(512, seed=50 + index), 2, 0)
+            for index in range(4)
+        ]
+        store.put_many(after)
+        assert store.engine.tasks_dispatched > before
+        for key, case, _, _ in after:
+            assert np.array_equal(store.get(key)["x"], case["x"])
+
+    def test_failing_codec_task_raises_after_its_siblings(self, tmp_path, monkeypatch):
+        """A lane task's encode raises: ``put_many`` re-raises only after
+        every sibling share has finished, and nothing reached disk."""
+        store = DedupBackend(
+            str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=3
+        )
+        encode = parallel_module.encode_chunk_file
+        on_lane = get_scheduler().is_worker_thread
+        lock = threading.Lock()
+        state = {"failed": False, "running": 0, "calls": 0}
+
+        def flaky(codec, parts):
+            with lock:
+                fail = on_lane() and not state["failed"]
+                state["failed"] = state["failed"] or fail
+                state["running"] += 1
+                state["calls"] += 1
+            try:
+                if fail:
+                    raise RuntimeError("codec task failed")
+                time.sleep(0.001)  # siblings are still busy when it fails
+                return encode(codec, parts)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        monkeypatch.setattr(parallel_module, "encode_chunk_file", flaky)
+        items = [(f"k{i}", compressible_entry(4096, seed=i), 1, 0) for i in range(4)]
+        with pytest.raises(RuntimeError, match="codec task failed"):
+            store.put_many(items)
+        with lock:
+            assert state["failed"]
+            assert state["running"] == 0  # every sibling share had finished
+            calls = state["calls"]
+        time.sleep(0.05)
+        assert state["calls"] == calls  # and none started afterwards
+        monkeypatch.undo()
+        assert store.keys() == []
+        assert store.chunks.disk_chunks() == {}
+        report = store.fsck()
+        assert report.ok and not report.warnings
 
     def test_empty_batch_is_a_no_op(self, tmp_path):
         store = DedupBackend(
             str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=WORKERS
         )
-        try:
-            assert store.put_many_serialized([]) == []
-            assert store.keys() == []
-            assert store.engine.tasks_dispatched == 0
-        finally:
-            store.close()
+        assert store.put_many_serialized([]) == []
+        assert store.keys() == []
+        assert store.engine.tasks_dispatched == 0
 
 
-def run_concurrently(work, threads: int = 2, timeout: float = 30.0) -> None:
-    """Run ``work(index)`` on ``threads`` threads; fail if any hangs or raises.
+class TestConcurrentRestoreLanes:
+    """Regression: two restore lanes over one dedup store with a codec
+    and codec threads used to hang.  Each lane decodes on its own
+    thread; the run must finish well inside the join timeout."""
 
-    A hang is what mis-delivered pool results look like: the collector
-    that owns a swallowed result waits for it until the batch deadline.
-    """
-    errors = []
-
-    def body(index):
-        try:
-            work(index)
-        except Exception as exc:  # reported below, on the main thread
-            errors.append(exc)
-
-    runners = [
-        threading.Thread(target=body, args=(index,), daemon=True)
-        for index in range(threads)
-    ]
-    # Frequent thread switches interleave the collectors as finely as
-    # the interpreter allows.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for runner in runners:
-            runner.start()
-        for runner in runners:
-            runner.join(timeout)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(runner.is_alive() for runner in runners), (
-        "a collector hung: another caller took its results off the queue"
-    )
-    assert not errors, errors
-
-
-class TestConcurrentCollectors:
-    """Regression: ``ChunkWorkerPool.collect`` used to drop results for
-    task ids it did not own, so two callers sharing one pool (two restore
-    lanes over one dedup store) swallowed each other's results and hung
-    until the batch deadline.  Foreign results now wait in a mailbox."""
-
-    ROUNDS = 10
-    #: More collectors than the pool has workers.
-    THREADS = 3
-
-    def test_concurrent_decode_chunks_get_their_own_results(self):
-        codec = make_chunk_codec("zlib")
-        cases = []
-        for seed in range(self.THREADS):
-            raw = chunk_payload(serialize_entry(compressible_entry(4096, seed=seed)), CHUNK)
-            bodies = [encode_chunk_file(codec, [chunk]) for chunk in raw]
-            cases.append((
-                [body for body in bodies if body is not None],
-                [chunk for chunk, body in zip(raw, bodies) if body is not None],
-            ))
-        with ParallelChunkEngine(WORKERS, codec=codec, arena_bytes=1 << 16) as engine:
-
-            def decode(index):
-                bodies, expected = cases[index]
-                for _ in range(self.ROUNDS):
-                    assert engine.decode_chunks(bodies) == expected
-
-            run_concurrently(decode, threads=self.THREADS)
-            assert engine.enabled, engine.fallback_reason
+    ROUNDS = 5
 
     def test_two_restore_lanes_over_one_dedup_store(self, tmp_path):
         store = DedupBackend(
             str(tmp_path), chunk_bytes=CHUNK, codec="zlib", parallel_workers=WORKERS
         )
-        try:
-            cases = {f"k{i}": compressible_entry(4096, seed=i) for i in range(8)}
-            for key, case in cases.items():
-                store.put(key, case, stamp=1)
-            requests = [ReadRequest(key=key, store=store) for key in cases]
+        cases = {f"k{i}": compressible_entry(4096, seed=i) for i in range(8)}
+        for key, case in cases.items():
+            store.put(key, case, stamp=1)
+        requests = [ReadRequest(key=key, store=store) for key in cases]
 
-            def restore(_index):
-                for _ in range(self.ROUNDS // 2):
-                    entries, _stats = ParallelRestorer(workers=2).fetch(requests)
-                    for key, case in cases.items():
-                        assert np.array_equal(entries[key]["x"], case["x"]), key
+        def restore(_index):
+            for _ in range(self.ROUNDS):
+                entries, _stats = ParallelRestorer(workers=2).fetch(requests)
+                for key, case in cases.items():
+                    assert np.array_equal(entries[key]["x"], case["x"]), key
 
-            run_concurrently(restore)
-            assert store.engine.enabled, store.engine.fallback_reason
-        finally:
-            store.close()
+        run_concurrently(restore, timeout=30.0)
 
 
 class TestManagerMeterInvariants:
     """The acceptance invariants, measured on the live manager with
-    ``parallel_workers > 1``: one hash pass, ≤1 staging copy, ≤1
-    compression pass per persisted byte."""
+    ``parallel_workers > 1``: one hash pass, no staging copy on the sync
+    path and exactly one on the async path, ≤1 compression pass per
+    persisted byte."""
 
     def _manager(self, tmp_path, **kwargs):
         model, optimizer = tiny_model_and_optimizer(TINY)
@@ -697,52 +578,45 @@ class TestManagerMeterInvariants:
             manager.checkpoint(iteration)
         manager.flush()
 
-    def test_sync_parallel_single_hash_bounded_copy_and_compression(self, tmp_path):
+    def test_sync_parallel_single_hash_no_copy_bounded_compression(self, tmp_path):
         model, optimizer, manager = self._manager(tmp_path, delta_saves=True)
         with manager:
             self._run_checkpoints(model, optimizer, manager)
             meters = manager.pipeline_meters.snapshot()
         assert meters["bytes_serialized"] > 0
-        # ONE sha-256 sweep per byte — the delta sweep seeds the engine
+        # ONE sha-256 sweep per byte — the delta sweep's cache is reused
         assert meters["bytes_hashed"] == meters["bytes_serialized"]
-        # at most one staging copy (only payloads with novel chunks
-        # stage for the encode fan-out)
-        assert meters["bytes_copied"] <= meters["bytes_serialized"]
+        # the codec threads read the rope in place: no staging copy
+        assert meters["bytes_copied"] == 0
         # at most one compression pass; dedup hits make it strict
         assert 0 < meters["bytes_compressed"] <= meters["bytes_serialized"]
         for profile in manager.save_profile:
             assert profile.hash_passes == pytest.approx(1.0)
-            assert profile.copy_passes <= 1.0
+            assert profile.copy_passes == 0.0
             assert profile.compression_passes <= 1.0
 
-    def test_async_parallel_stages_exactly_once_into_shared_arena(self, tmp_path):
+    def test_async_parallel_stages_exactly_once(self, tmp_path):
         model, optimizer, manager = self._manager(
             tmp_path, delta_saves=True, async_writes=True
         )
         with manager:
-            # the async writer must share the engine's shm staging pool
-            inner = manager.disk_store.inner
-            assert manager.disk_store.staging is inner.staging_pool
-            assert isinstance(manager.disk_store.staging, SharedStagingPool)
             self._run_checkpoints(model, optimizer, manager)
             meters = manager.pipeline_meters.snapshot()
-            # the async staging copy is THE copy: workers read the same
-            # bytes, so copies == bytes accepted by the persist tier
-            assert meters["bytes_copied"] == manager.disk_store.bytes_written
+            # the async staging copy is the one copy: the codec threads
+            # encode the staged bytes in place
+            assert meters["bytes_copied"] == manager.disk_store.bytes_written > 0
             assert meters["bytes_hashed"] == meters["bytes_serialized"]
             assert 0 < meters["bytes_compressed"] <= meters["bytes_serialized"]
 
     def test_parallel_workers_hash_without_delta_saves(self, tmp_path):
         # delta off: nobody hashes ahead of the store, so the sweep runs
-        # in the workers — still exactly one pass per byte
+        # on the saving thread — still exactly one pass per byte
         model, optimizer, manager = self._manager(tmp_path, delta_saves=False)
         with manager:
             self._run_checkpoints(model, optimizer, manager)
             meters = manager.pipeline_meters.snapshot()
-            engine = manager.disk_store.engine
             assert meters["bytes_hashed"] == meters["bytes_serialized"]
-            if engine.enabled:
-                assert engine.tasks_dispatched > 0
+            assert manager.disk_store.engine.tasks_dispatched > 0
 
     def test_recovery_restores_exact_state_through_codec_and_workers(self, tmp_path):
         model, optimizer, manager = self._manager(tmp_path, delta_saves=True)

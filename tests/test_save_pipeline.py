@@ -346,13 +346,13 @@ class TestStagingPool:
         while not pool._waiters and time.monotonic() < deadline:
             time.sleep(0.005)
         assert pool._waiters  # the large acquire is queued
-        # A newcomer must not slip past the queued waiter even though
-        # 448 bytes of arena budget are technically free right now.
-        assert pool.try_acquire(64) is None
+        # A newcomer must queue behind the waiter even though 448 bytes
+        # of arena budget are technically free right now.
         t_small = threading.Thread(target=want_small, daemon=True)
         t_small.start()
         while len(pool._waiters) < 2 and time.monotonic() < deadline:
             time.sleep(0.005)
+        assert not small_granted.is_set()
         pool.release(held)  # arena idles: the queue head (large) wins
         assert large_granted.wait(timeout=5)
         assert small_granted.wait(timeout=5)
