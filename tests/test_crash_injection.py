@@ -39,6 +39,7 @@ from repro.ckpt import (
     ShardedDiskKVStore,
     open_tiered_root,
 )
+from repro.ckpt import dedup as dedup_module
 
 DISK_BACKENDS = ["disk", "sharded"]
 
@@ -679,6 +680,47 @@ class TestCompressedDedupCrash(TestDedupEngineCrash):
         with pytest.raises(CrashInjected):
             store.put_many(batch)
         self.assert_recovers_clean(tmp_path, {"old": (np.full(256, 1.0), 1)})
+
+    def test_encode_crash_in_a_later_window_leaks_only_earlier_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        """One entry per window: the first window's chunks are on disk
+        when the second window's codec task dies.  The batch commits
+        nothing, so those chunks are orphans — warnings, never errors."""
+        monkeypatch.setattr(dedup_module, "WINDOW_BYTES", 3000)
+        store = self.open(tmp_path)
+        store.put("old", entry(1.0, size=256), stamp=1)
+        crash_at(store, "iosched:dispatch", nth=2)
+        # each ~2 KiB entry is a window of its own
+        batch = [(f"k{i}", entry(float(10 + i), size=256), 2, 0) for i in range(3)]
+        with pytest.raises(CrashInjected):
+            store.put_many(batch)
+        reopened = self.open(tmp_path)
+        assert reopened.keys() == ["old"]
+        report = reopened.fsck()
+        assert report.ok, report.errors
+        assert report.orphan_chunks  # the first window's chunk files
+        self.assert_recovers_clean(tmp_path, {"old": (np.full(256, 1.0), 1)})
+
+    def test_async_encode_dispatch_crash_keeps_meta_unreachable(self, tmp_path):
+        """Through the async pipeline: the persist task dispatches first
+        (hit 1), its encode task dies (hit 2).  The batch surfaces as
+        AsyncWriteError, and the meta entry staged after it never lands."""
+        inner = self.open(tmp_path)
+        inner.put("old", entry(1.0, size=256), stamp=1)
+        crash_at(inner, "iosched:dispatch", nth=2)
+        store = AsyncWriteBackend(inner)
+        with pytest.raises(AsyncWriteError):
+            store.put_many(
+                [(f"k{i}", entry(float(i), size=256), 2, 0) for i in range(4)]
+            )
+            store.put("meta:iteration", {"iteration": np.asarray(2)}, stamp=2)
+            store.flush()
+        store.close()
+        reopened = self.assert_recovers_clean(
+            tmp_path, {"old": (np.full(256, 1.0), 1)}
+        )
+        assert not reopened.has("meta:iteration")
 
 
 class TestTieredCrash:

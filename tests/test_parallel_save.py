@@ -36,6 +36,7 @@ from repro.ckpt import (
     PayloadFrames,
     PipelineMeters,
     ReadRequest,
+    StagingPool,
     chunk_digest,
     chunk_payload,
     decode_chunk_file,
@@ -140,6 +141,37 @@ class TestEngineDigests:
         assert meters.bytes_compressed == payload.nbytes
         assert meters.bytes_copied == 0
 
+    def test_prestaged_payload_is_not_copied_again(self):
+        # the async pipeline's staging copy is the one copy: the engine
+        # digests from the shared cache and encodes the staged bytes
+        meters = PipelineMeters()
+        source = frames_of(compressible_entry(), meters)
+        digests = source.chunk_digests(CHUNK)
+        pool = StagingPool(1 << 20)
+        buffer = pool.acquire(source.nbytes)
+        staged = source.snapshot_into(buffer)
+        assert meters.bytes_copied == source.nbytes
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        assert engine.chunk_digests([staged], CHUNK) == [digests]
+        (encoded,) = engine.encode_chunks([(staged, all_chunks(staged))], CHUNK)
+        assert meters.bytes_copied == source.nbytes
+        assert meters.bytes_hashed == source.nbytes
+        raw_chunks = chunk_payload(serialize_entry(compressible_entry()), CHUNK)
+        assert any(body is not None for body in encoded.values())
+        for index, body in encoded.items():
+            if body is not None:
+                assert decode_chunk_file(body) == raw_chunks[index]
+        pool.release(buffer)
+
+    def test_single_chunk_encodes_on_the_saving_thread(self):
+        # one unit of work is one share: no lane task is worth its hop
+        payload = frames_of({"x": np.ones(2)})
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        (encoded,) = engine.encode_chunks([(payload, [0])], 1 << 20)
+        assert list(encoded) == [0]
+        assert encoded[0] is None  # too small to be worth framing
+        assert engine.tasks_dispatched == 0
+
 
 class TestEngineEncodeDecode:
     def test_encoded_chunks_decode_to_exact_raw_bytes(self):
@@ -212,6 +244,143 @@ class TestEngineEncodeDecode:
         run_concurrently(encode, threads=len(sizes))
         assert codec.stats.raw_bytes == len(sizes) * rounds * len(chunk)
         assert codec.stats.encoded_bytes == sum(map(sum, sizes))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_encoded_bodies_match_single_thread_encode(self, workers):
+        payload = frames_of(compressible_entry(4096))
+        indices = all_chunks(payload)
+        engine = ParallelChunkEngine(workers, codec=make_chunk_codec("zlib"))
+        (encoded,) = engine.encode_chunks([(payload, indices)], CHUNK)
+        serial = make_chunk_codec("zlib")
+        slices = list(payload.chunk_slices(CHUNK))
+        assert encoded == {
+            index: encode_chunk_file(serial, slices[index]) for index in indices
+        }
+        assert engine.tasks_dispatched == min(workers, len(indices)) - 1
+
+    def test_multi_job_round_folds_meters_per_payload(self):
+        first_meters, second_meters = PipelineMeters(), PipelineMeters()
+        first = frames_of(compressible_entry(4096, seed=1), first_meters)
+        second = frames_of(compressible_entry(4096, seed=2), second_meters)
+        subset = all_chunks(second)[1::3]
+        engine = ParallelChunkEngine(3, codec=make_chunk_codec("zlib"))
+        engine.encode_chunks(
+            [(first, all_chunks(first)), (second, subset)], CHUNK
+        )
+        slices = list(second.chunk_slices(CHUNK))
+        assert first_meters.bytes_compressed == first.nbytes
+        assert second_meters.bytes_compressed == sum(
+            sum(map(len, slices[index])) for index in subset
+        )
+
+    def test_encode_counts_thread_cpu_time(self):
+        payload = frames_of(compressible_entry(1 << 15))
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        assert engine.worker_cpu_seconds > 0.0
+
+    def test_codec_swapped_between_rounds_frames_the_dictionary(self):
+        payload = frames_of(compressible_entry(4096))
+        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+        (plain,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        dictionary = serialize_entry(compressible_entry(512, seed=5))
+        engine.codec = make_chunk_codec("zlib", dictionary=dictionary)
+        (trained,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        framed = [body for body in plain.values() if body is not None]
+        assert framed and all(body[1] == 0 for body in framed)
+        framed = [body for body in trained.values() if body is not None]
+        assert framed and all(body[1] == 1 for body in framed)  # dictionary flag
+
+    def test_decode_reads_dictionary_from_dict_dir(self, tmp_path):
+        dictionary = serialize_entry(compressible_entry(512, seed=5))
+        codec = make_chunk_codec("zlib", dictionary=dictionary)
+        (tmp_path / codec.dict_digest).write_bytes(dictionary)
+        raw_chunks = chunk_payload(serialize_entry(compressible_entry(4096)), CHUNK)
+        pairs = [(encode_chunk_file(codec, [chunk]), chunk) for chunk in raw_chunks]
+        bodies = [body for body, _ in pairs if body is not None]
+        expected = [chunk for body, chunk in pairs if body is not None]
+        assert bodies
+        engine = ParallelChunkEngine(WORKERS, dict_dir=str(tmp_path))
+        assert engine.decode_chunks(bodies) == expected
+        # without a dictionary directory the frame cannot be resolved
+        with pytest.raises(KeyError):
+            ParallelChunkEngine(WORKERS).decode_chunks(bodies[:1])
+
+
+class TestEngineLane:
+    """Codec tasks run on a per-engine scheduler lane that lives for one
+    window and carries the owner's crash seam."""
+
+    @staticmethod
+    def lane_registered(engine) -> bool:
+        return engine._lane_name in get_scheduler()._lanes
+
+    def test_lane_is_released_after_each_window(self):
+        payload = frames_of(compressible_entry(4096))
+        engine = ParallelChunkEngine(3, codec=make_chunk_codec("zlib"))
+        for _ in range(2):
+            engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+            assert not self.lane_registered(engine)
+        assert engine.tasks_dispatched == 4
+
+    def test_lane_is_released_after_a_failed_window(self, monkeypatch):
+        encode = parallel_module.encode_chunk_file
+
+        def failing(codec, parts):
+            if get_scheduler().is_worker_thread():
+                raise RuntimeError("codec task failed")
+            return encode(codec, parts)
+
+        monkeypatch.setattr(parallel_module, "encode_chunk_file", failing)
+        payload = frames_of(compressible_entry(4096))
+        engine = ParallelChunkEngine(3, codec=make_chunk_codec("zlib"))
+        with pytest.raises(RuntimeError, match="codec task failed"):
+            engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        assert not self.lane_registered(engine)
+        monkeypatch.undo()
+        (encoded,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        assert set(encoded) == set(all_chunks(payload))
+
+    def test_fault_hook_fires_at_each_lane_task_dispatch(self):
+        hits = []
+        lock = threading.Lock()
+
+        def record(point):
+            with lock:
+                hits.append(point)
+
+        payload = frames_of(compressible_entry(4096))
+        engine = ParallelChunkEngine(3, codec=make_chunk_codec("zlib"))
+        engine.fault = record
+        engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
+        assert engine.tasks_dispatched == 2
+        assert hits.count("iosched:dispatch") == engine.tasks_dispatched
+
+    def test_two_engines_encode_concurrently_and_exactly(self):
+        payloads = [frames_of(compressible_entry(4096, seed=seed)) for seed in (3, 4)]
+        engines = [
+            ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
+            for _ in payloads
+        ]
+        serial = make_chunk_codec("zlib")
+        wants = []
+        for payload in payloads:
+            slices = list(payload.chunk_slices(CHUNK))
+            wants.append({
+                chunk: encode_chunk_file(serial, slices[chunk])
+                for chunk in all_chunks(payload)
+            })
+
+        def encode(index):
+            payload = payloads[index]
+            for _ in range(5):
+                (got,) = engines[index].encode_chunks(
+                    [(payload, all_chunks(payload))], CHUNK
+                )
+                assert got == wants[index]
+
+        run_concurrently(encode, threads=len(engines))
+        assert all(engine.tasks_dispatched == 5 for engine in engines)
 
 
 class TestEnginePlanning:
@@ -305,6 +474,19 @@ class TestDedupComposition:
         assert plain.fsck().ok
         plain.close()
 
+    def test_store_written_without_engine_reads_with_one(self, tmp_path):
+        plain = DedupBackend(str(tmp_path), chunk_bytes=CHUNK, codec="zlib")
+        case = compressible_entry(4096)
+        plain.put("k", case, stamp=1)
+        plain.close()
+        store = self.open(tmp_path)
+        assert np.array_equal(store.get("k")["x"], case["x"])
+        # the encoded chunks were decoded through the engine
+        assert store.engine.worker_cpu_seconds > 0.0
+        report = store.fsck()
+        assert report.ok and report.encoded_chunks > 0
+        store.close()
+
     def test_trained_dictionary_roundtrips_under_workers(self, tmp_path):
         store = self.open(tmp_path)
         for index in range(4):
@@ -379,10 +561,17 @@ class TestBatchedWindows:
 
     @pytest.mark.parametrize("window_bytes", [dedup_module.WINDOW_BYTES, 8 * 1024])
     def test_batch_matches_in_process_path(self, tmp_path, monkeypatch, window_bytes):
+        self.check_batch(tmp_path, monkeypatch, window_bytes, WORKERS)
+
+    @pytest.mark.parametrize("window_bytes", [dedup_module.WINDOW_BYTES, 8 * 1024])
+    def test_wider_lane_lands_the_same_batch(self, tmp_path, monkeypatch, window_bytes):
+        self.check_batch(tmp_path, monkeypatch, window_bytes, 4)
+
+    def check_batch(self, tmp_path, monkeypatch, window_bytes, workers):
         monkeypatch.setattr(dedup_module, "WINDOW_BYTES", window_bytes)
         serial, serial_meters, _, _ = self.run_batch(tmp_path / "serial", 0)
         pooled, meters, windows, rounds = self.run_batch(
-            tmp_path / "pooled", WORKERS, monkeypatch
+            tmp_path / "pooled", workers, monkeypatch
         )
         try:
             assert pooled.engine.tasks_dispatched > 0
@@ -528,6 +717,26 @@ class TestConcurrentRestoreLanes:
     thread; the run must finish well inside the join timeout."""
 
     ROUNDS = 5
+
+    def test_concurrent_decode_chunks_get_their_own_results(self):
+        # three readers share one engine and its decode-codec cache
+        codec = make_chunk_codec("zlib")
+        cases = []
+        for seed in range(3):
+            raw = chunk_payload(serialize_entry(compressible_entry(4096, seed=seed)), CHUNK)
+            bodies = [encode_chunk_file(codec, [chunk]) for chunk in raw]
+            cases.append((
+                [body for body in bodies if body is not None],
+                [chunk for chunk, body in zip(raw, bodies) if body is not None],
+            ))
+        engine = ParallelChunkEngine(WORKERS, codec=codec)
+
+        def decode(index):
+            bodies, expected = cases[index]
+            for _ in range(self.ROUNDS):
+                assert engine.decode_chunks(bodies) == expected
+
+        run_concurrently(decode, threads=len(cases))
 
     def test_two_restore_lanes_over_one_dedup_store(self, tmp_path):
         store = DedupBackend(
