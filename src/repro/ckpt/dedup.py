@@ -72,7 +72,7 @@ from .codec import (
     make_chunk_codec,
     train_dictionary,
 )
-from .parallel import ParallelChunkEngine
+from .parallel import ParallelChunkEngine, encode_jobs
 from .serializer import DEFAULT_CHUNK_BYTES, PayloadFrames
 
 # Journal and maintenance instruments on the process-wide registry,
@@ -395,9 +395,12 @@ class ChunkStore:
 
     def read_chunk(self, digest: str) -> bytes:
         data, encoded = self.read_chunk_stored(digest)
-        if encoded:
-            return decode_chunk_file(data, self.load_dictionary, self._decode_cache)
-        return data
+        return self.decode_chunk(data) if encoded else data
+
+    def decode_chunk(self, data: bytes) -> bytes:
+        """Raw bytes of an encoded chunk file body; a missing dictionary
+        raises :class:`KVStoreError` like a missing chunk."""
+        return decode_chunk_file(data, self.load_dictionary, self._decode_cache)
 
     # -- trained dictionaries -------------------------------------------
     def store_dictionary(self, dictionary: bytes) -> str:
@@ -565,12 +568,12 @@ class DedupBackend(CheckpointBackend):
             make_chunk_codec(codec) if isinstance(codec, str) else codec
         )
         # Chunk codec threads: >0 splits each window's novel-chunk
-        # encodes across a scheduler lane that wide (zlib releases the
+        # encodes across that many threads (zlib releases the
         # GIL); 0 encodes on the saving thread alone.
         self.engine: Optional[ParallelChunkEngine] = None
         if parallel_workers > 0:
             self.engine = ParallelChunkEngine(
-                parallel_workers, codec=self.codec, dict_dir=self.chunks.dicts_dir
+                parallel_workers, codec=self.codec, decode=self.chunks.decode_chunk
             )
             self.engine.fault = self._fault
         self._manifests = _JsonlJournal(
@@ -665,21 +668,7 @@ class DedupBackend(CheckpointBackend):
         jobs = list(zip(ropes, self._novel_indices(digests)))
         if self.engine is not None:
             return self.engine.encode_chunks(jobs, self.chunk_bytes)
-        out: List[Dict[int, Optional[bytes]]] = []
-        for rope, novel in jobs:
-            encoded: Dict[int, Optional[bytes]] = {}
-            slices = list(rope.chunk_slices(self.chunk_bytes)) if novel else []
-            for index in novel:
-                parts = slices[index]
-                raw_len = sum(len(part) for part in parts)
-                body = encode_chunk_file(self.codec, parts)
-                encoded[index] = body
-                if rope.meters is not None:
-                    rope.meters.count_compressed(
-                        raw_len, len(body) if body is not None else raw_len
-                    )
-            out.append(encoded)
-        return out
+        return encode_jobs(self.codec, jobs, self.chunk_bytes)
 
     @contextlib.contextmanager
     def _chunk_window(self, payloads: Sequence[object]):

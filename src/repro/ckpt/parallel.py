@@ -7,15 +7,13 @@ memory, no pickling.  :class:`ParallelChunkEngine` is what a
 drives once per window (a run of one batch's payloads), before any of
 the window's chunk writes:
 
-* **Digests** stay on the saving thread: SHA-256 does not scale across
-  threads, and a rope's cached digests (the manager's delta sweep) are
-  reused as they are.
-* **Encode** reads :meth:`~repro.ckpt.serializer.PayloadFrames.
-  chunk_slices` views of the payload — no staging copy.  Tasks carry
-  the owner's ``fault`` hook, so the ``iosched:dispatch`` seam can kill
-  an encode round like any other write step.  No task outlives its
-  window: on any error every sibling finishes before the error is
-  re-raised, and no chunk of the window has been written by then.
+* **Digests** stay on the saving thread (SHA-256 does not scale across
+  threads); a rope's cached digests are reused as they are.
+* **Encode** reads zero-copy ``chunk_slices`` views — no staging copy.
+  Tasks carry the owner's ``fault`` hook, so the ``iosched:dispatch``
+  seam can kill an encode round like any other write step.  No task
+  outlives its window: on any error every sibling finishes before the
+  error is re-raised, and no chunk of the window has been written yet.
 * **Decode** runs on the reader's own thread (a restore lane already is
   one), which beat fanning decode out to tasks.
 """
@@ -23,7 +21,6 @@ the window's chunk writes:
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,38 +33,77 @@ from .serializer import PayloadFrames
 _Unit = Tuple[int, int, list, int]
 
 
+def _encode_units(codec: ChunkCodec, units: Sequence[_Unit]) -> List[Optional[bytes]]:
+    return [encode_chunk_file(codec, parts) for _, _, parts, _ in units]
+
+
+def encode_jobs(
+    codec: Optional[ChunkCodec],
+    jobs: Sequence[Tuple[PayloadFrames, Sequence[int]]],
+    chunk_bytes: int,
+    encode: Callable[[ChunkCodec, Sequence[_Unit]], List[Optional[bytes]]] = _encode_units,
+) -> List[Dict[int, Optional[bytes]]]:
+    """Per ``(payload, chunk indices)`` job, ``{index: framed encoded
+    body or None (store raw)}`` — empty without a codec.  ``encode``
+    maps the units to their bodies in order (on the calling thread by
+    default).  Byte counts are folded into each payload's meters once
+    every body is back: the "≤1 compression pass per persisted byte"
+    invariant stays measurable."""
+    encoded: List[Dict[int, Optional[bytes]]] = [{} for _ in jobs]
+    if codec is None:
+        return encoded
+    units: List[_Unit] = []
+    for pos, (payload, indices) in enumerate(jobs):
+        if indices:
+            slices = list(payload.chunk_slices(chunk_bytes))
+            for index in indices:
+                parts = slices[index]
+                units.append((pos, index, parts, sum(map(len, parts))))
+    if not units:
+        return encoded
+    counts: Dict[int, List[int]] = {}
+    for (pos, index, _, raw_len), body in zip(units, encode(codec, units)):
+        encoded[pos][index] = body
+        # Incompressible chunks count raw-in with themselves as "out"
+        # (they hit disk raw): the pass still ran once.
+        tally = counts.setdefault(pos, [0, 0])
+        tally[0] += raw_len
+        tally[1] += len(body) if body is not None else raw_len
+    for pos, (raw_in, raw_out) in counts.items():
+        meters = jobs[pos][0].meters
+        if meters is not None:
+            meters.count_compressed(raw_in, raw_out)
+    return encoded
+
+
 class ParallelChunkEngine:
     """Digest, encode and decode chunks for one dedup store.
 
-    ``workers`` is the width of the engine's scheduler lane: a window's
-    novel chunks are split into at most ``workers`` shares of near-equal
-    bytes; the saving thread encodes the first and lane tasks the rest.
-    ``codec`` may be swapped between windows (a trained dictionary);
-    ``fault`` is the owning store's crash seam, fired by the scheduler
-    when a codec task dispatches.
-    """
+    A window's novel chunks are split into at most ``workers`` shares of
+    near-equal bytes; the saving thread encodes the first, scheduler
+    tasks the rest.  ``codec`` may be swapped between windows; ``decode``
+    and ``fault`` are the owning store's chunk decoder (its dictionary
+    loader and codec cache) and crash seam."""
 
     def __init__(
         self,
         workers: int,
         codec: Optional[ChunkCodec] = None,
-        dict_dir: Optional[str] = None,
+        decode: Callable[[bytes], bytes] = decode_chunk_file,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.codec = codec
-        self.dict_dir = dict_dir
+        self.decode = decode
         self.fault: Optional[Callable[[str], None]] = None
         #: Always True (threads do not die); reports count downgrades.
         self.enabled = True
         #: Thread CPU seconds spent encoding and decoding.
         self.worker_cpu_seconds = 0.0
-        #: Lane tasks submitted (the saving thread's own shares excluded).
+        #: Scheduler tasks submitted (the saving thread's own shares excluded).
         self.tasks_dispatched = 0
         self._lock = threading.Lock()
-        self._lane_name = f"chunk-codec-{id(self):x}"
-        self._decode_cache: Dict[tuple, ChunkCodec] = {}
 
     def _plan(
         self, n_items: int, sizes: Optional[Sequence[int]] = None
@@ -112,40 +148,19 @@ class ParallelChunkEngine:
         self, codec: ChunkCodec, share: Sequence[_Unit]
     ) -> List[Optional[bytes]]:
         started = time.thread_time()
-        bodies = [encode_chunk_file(codec, parts) for _, _, parts, _ in share]
+        bodies = _encode_units(codec, share)
         self._count_cpu(started)
         return bodies
 
-    def encode_chunks(
-        self,
-        jobs: Sequence[Tuple[PayloadFrames, Sequence[int]]],
-        chunk_bytes: int,
-    ) -> List[Dict[int, Optional[bytes]]]:
-        """Encode each job's chunk indices, split across the lane.
-
-        ``jobs`` are ``(payload, chunk indices)`` pairs.  Returns, per
-        job, ``{index: framed encoded body or None (store raw)}`` —
-        empty without a codec.  Byte counts are folded into each
-        payload's meters once every share is back, keeping the "≤1
-        compression pass per persisted byte" invariant measurable.
-        """
-        encoded: List[Dict[int, Optional[bytes]]] = [{} for _ in jobs]
-        codec = self.codec
-        if codec is None:
-            return encoded
-        units: List[_Unit] = []
-        for pos, (payload, indices) in enumerate(jobs):
-            if indices:
-                slices = list(payload.chunk_slices(chunk_bytes))
-                for index in indices:
-                    parts = slices[index]
-                    units.append((pos, index, parts, sum(map(len, parts))))
+    def _encode_split(
+        self, codec: ChunkCodec, units: Sequence[_Unit]
+    ) -> List[Optional[bytes]]:
+        """Bodies of ``units`` in order: the first share on this thread,
+        the others as ``QoS.SAVE`` tasks.  Every task has finished before
+        this returns or raises (the first error wins)."""
         plan = self._plan(len(units), [unit[3] for unit in units])
         shares = [units[start:stop] for start, stop in plan]
-        if not shares:
-            return encoded
         scheduler = get_scheduler()
-        lane = scheduler.lane(self._lane_name, self.workers)
         tasks = []
         results: List[List[Optional[bytes]]] = []
         error: Optional[BaseException] = None
@@ -153,7 +168,7 @@ class ParallelChunkEngine:
             for share in shares[1:]:
                 tasks.append(scheduler.submit(
                     functools.partial(self._encode_share, codec, share),
-                    QoS.SAVE, label="chunk-encode", lane=lane, fault=self.fault,
+                    QoS.SAVE, label="chunk-encode", fault=self.fault,
                 ))
             results.append(self._encode_share(codec, shares[0]))
         except BaseException as exc:  # noqa: BLE001 - raised after the siblings
@@ -164,37 +179,22 @@ class ParallelChunkEngine:
                 results.append(task.result())
             except BaseException as exc:  # noqa: BLE001 - the first error wins
                 error = error or exc
-        scheduler.release_lane(lane.name)
         if error is not None:
             raise error
-        counts: Dict[int, List[int]] = {}
-        for share, bodies in zip(shares, results):
-            for (pos, index, _, raw_len), body in zip(share, bodies):
-                encoded[pos][index] = body
-                # Incompressible chunks count raw-in with themselves as
-                # "out" (they hit disk raw): the pass still ran once.
-                tally = counts.setdefault(pos, [0, 0])
-                tally[0] += raw_len
-                tally[1] += len(body) if body is not None else raw_len
-        for pos, (raw_in, raw_out) in counts.items():
-            meters = jobs[pos][0].meters
-            if meters is not None:
-                meters.count_compressed(raw_in, raw_out)
-        return encoded
+        return [body for bodies in results for body in bodies]
+
+    def encode_chunks(
+        self,
+        jobs: Sequence[Tuple[PayloadFrames, Sequence[int]]],
+        chunk_bytes: int,
+    ) -> List[Dict[int, Optional[bytes]]]:
+        """:func:`encode_jobs` with the window split across threads."""
+        return encode_jobs(self.codec, jobs, chunk_bytes, self._encode_split)
 
     # -- decode ---------------------------------------------------------
-    def _load_dictionary(self, digest: str) -> bytes:
-        if not self.dict_dir:
-            raise KeyError(digest)
-        with open(os.path.join(self.dict_dir, digest), "rb") as handle:
-            return handle.read()
-
     def decode_chunks(self, blobs: Sequence[bytes]) -> List[bytes]:
         """Decompress encoded chunk bodies on the calling thread."""
         started = time.thread_time()
-        raws = [
-            decode_chunk_file(blob, self._load_dictionary, self._decode_cache)
-            for blob in blobs
-        ]
+        raws = [self.decode(blob) for blob in blobs]
         self._count_cpu(started)
         return raws

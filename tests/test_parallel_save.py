@@ -19,6 +19,7 @@ Four properties this suite exists to hold:
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -29,14 +30,18 @@ import pytest
 from repro.ckpt import dedup as dedup_module
 from repro.ckpt import parallel as parallel_module
 from repro.ckpt import (
+    ChunkCodecError,
     CrashInjected,
     DedupBackend,
+    KVStoreError,
     ParallelChunkEngine,
     ParallelRestorer,
     PayloadFrames,
     PipelineMeters,
     ReadRequest,
+    ShardedDiskKVStore,
     StagingPool,
+    TieredBackend,
     chunk_digest,
     chunk_payload,
     decode_chunk_file,
@@ -64,6 +69,13 @@ def compressible_entry(size: int = 2048, seed: int = 0) -> dict:
 def incompressible_entry(size: int = 2048, seed: int = 1) -> dict:
     rng = np.random.default_rng(seed)
     return {"x": rng.integers(0, 256, size, dtype=np.uint8)}
+
+
+def repetitive_entry(seed: int, shift: int = 0) -> dict:
+    """A short random pattern tiled, ``shift`` values in: repeated grams
+    a dictionary can be trained from."""
+    rng = np.random.default_rng(seed)
+    return {"x": np.tile(rng.standard_normal(48), 24)[shift:]}
 
 
 def frames_of(entry: dict, meters: PipelineMeters = None) -> PayloadFrames:
@@ -291,57 +303,35 @@ class TestEngineEncodeDecode:
         framed = [body for body in trained.values() if body is not None]
         assert framed and all(body[1] == 1 for body in framed)  # dictionary flag
 
-    def test_decode_reads_dictionary_from_dict_dir(self, tmp_path):
+    def test_decode_resolves_dictionaries_through_its_decoder(self):
         dictionary = serialize_entry(compressible_entry(512, seed=5))
         codec = make_chunk_codec("zlib", dictionary=dictionary)
-        (tmp_path / codec.dict_digest).write_bytes(dictionary)
         raw_chunks = chunk_payload(serialize_entry(compressible_entry(4096)), CHUNK)
         pairs = [(encode_chunk_file(codec, [chunk]), chunk) for chunk in raw_chunks]
         bodies = [body for body, _ in pairs if body is not None]
         expected = [chunk for body, chunk in pairs if body is not None]
         assert bodies
-        engine = ParallelChunkEngine(WORKERS, dict_dir=str(tmp_path))
+        loads = []
+
+        def load(digest):
+            loads.append(digest)
+            return dictionary
+
+        engine = ParallelChunkEngine(
+            WORKERS, decode=lambda blob: decode_chunk_file(blob, load)
+        )
         assert engine.decode_chunks(bodies) == expected
-        # without a dictionary directory the frame cannot be resolved
-        with pytest.raises(KeyError):
+        assert set(loads) == {codec.dict_digest}
+        # the default decoder has no dictionary loader to resolve the frame
+        with pytest.raises(ChunkCodecError):
             ParallelChunkEngine(WORKERS).decode_chunks(bodies[:1])
 
 
-class TestEngineLane:
-    """Codec tasks run on a per-engine scheduler lane that lives for one
-    window and carries the owner's crash seam."""
+class TestEngineTasks:
+    """Codec tasks run on the I/O scheduler and carry the owner's crash
+    seam."""
 
-    @staticmethod
-    def lane_registered(engine) -> bool:
-        return engine._lane_name in get_scheduler()._lanes
-
-    def test_lane_is_released_after_each_window(self):
-        payload = frames_of(compressible_entry(4096))
-        engine = ParallelChunkEngine(3, codec=make_chunk_codec("zlib"))
-        for _ in range(2):
-            engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
-            assert not self.lane_registered(engine)
-        assert engine.tasks_dispatched == 4
-
-    def test_lane_is_released_after_a_failed_window(self, monkeypatch):
-        encode = parallel_module.encode_chunk_file
-
-        def failing(codec, parts):
-            if get_scheduler().is_worker_thread():
-                raise RuntimeError("codec task failed")
-            return encode(codec, parts)
-
-        monkeypatch.setattr(parallel_module, "encode_chunk_file", failing)
-        payload = frames_of(compressible_entry(4096))
-        engine = ParallelChunkEngine(3, codec=make_chunk_codec("zlib"))
-        with pytest.raises(RuntimeError, match="codec task failed"):
-            engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
-        assert not self.lane_registered(engine)
-        monkeypatch.undo()
-        (encoded,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
-        assert set(encoded) == set(all_chunks(payload))
-
-    def test_fault_hook_fires_at_each_lane_task_dispatch(self):
+    def test_fault_hook_fires_at_each_task_dispatch(self):
         hits = []
         lock = threading.Lock()
 
@@ -500,6 +490,46 @@ class TestDedupComposition:
             )
             assert store.fsck().ok
         store.close()
+
+    def write_with_dictionary(self, store, local) -> str:
+        """Put ``post`` under a trained dictionary of ``local`` (the
+        dedup store behind ``store``), close ``store`` and delete the
+        dictionary file; returns the dictionary digest."""
+        for index in range(4):
+            store.put(f"k{index}", repetitive_entry(index), stamp=index)
+        digest = local.train_codec_dictionary()
+        assert digest is not None
+        store.put("post", repetitive_entry(1, shift=5), stamp=9)
+        assert local.chunks.chunks_encoded > 0
+        store.close()
+        os.unlink(os.path.join(local.chunks.dicts_dir, digest))
+        return digest
+
+    @pytest.mark.parametrize("workers", [0, WORKERS])
+    def test_missing_dictionary_is_a_store_error(self, tmp_path, workers):
+        store = self.open(tmp_path, parallel_workers=workers)
+        digest = self.write_with_dictionary(store, store)
+        store = self.open(tmp_path, parallel_workers=workers)
+        assert (store.engine is not None) == (workers > 0)
+        with pytest.raises(KVStoreError, match=f"codec dictionary {digest}"):
+            store.get("post")
+        store.close()
+
+    def test_tiered_read_falls_back_to_remote_on_a_missing_dictionary(self, tmp_path):
+        def open_tiered():
+            local = self.open(tmp_path / "local")
+            remote = ShardedDiskKVStore(str(tmp_path / "remote"))
+            return local, TieredBackend(local, remote, str(tmp_path / "tier.jsonl"))
+
+        local, store = open_tiered()
+        self.write_with_dictionary(store, local)
+        _, store = open_tiered()
+        try:
+            got = store.get("post")
+            assert np.array_equal(got["x"], repetitive_entry(1, shift=5)["x"])
+            assert store.tier_stats()["remote_reads"] >= 1
+        finally:
+            store.close()
 
 
 #: An entry already on disk before the batch runs (its twin in the
@@ -701,6 +731,10 @@ class TestBatchedWindows:
         assert store.chunks.disk_chunks() == {}
         report = store.fsck()
         assert report.ok and not report.warnings
+        # the engine is not left broken: the same batch lands next time
+        store.put_many(items)
+        for key, case, _, _ in items:
+            assert np.array_equal(store.get(key)["x"], case["x"])
 
     def test_empty_batch_is_a_no_op(self, tmp_path):
         store = DedupBackend(
