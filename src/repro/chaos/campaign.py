@@ -91,7 +91,7 @@ TIERED_SEAMS: Tuple[str, ...] = DEDUP_SEAMS + (
     "payload:durable",
     "journal:mid-append",
     "journal:appended",
-    "compact:tmp-written",
+    "journal:compact-tmp-written",
 )
 
 BACKENDS = ("dedup", "tiered", "async-tiered")

@@ -479,8 +479,8 @@ class AsyncWriteBackend(CheckpointBackend):
     def put_many_serialized(self, items) -> List[int]:
         """Stage batches that the worker hands to
         ``inner.put_many_serialized``, preserving the inner backend's
-        batched index maintenance (one journal append / index rewrite
-        per checkpoint, not per entry).
+        batched index maintenance (one journal append per checkpoint,
+        not per entry).
 
         Batches are split on two bounds before staging would block on
         either backpressure valve: ``max_pending`` entries (acquiring

@@ -1,18 +1,20 @@
 """The pluggable checkpoint-backend layer.
 
-Every storage tier — CPU-memory snapshots, a flat on-disk directory, the
-sharded journal store, or the async write pipeline that decorates any of
-them — implements one contract, :class:`CheckpointBackend`.  The manager,
-recovery planner, retention auditor and resume path all program against
-this interface only, so new tiers (remote object stores, compression
-stages, parallel shard writers) drop in without touching the core.
+Every storage tier — CPU-memory snapshots, the sharded journal store, the
+dedup and tiered stores built on the same journal, or the async write
+pipeline that decorates any of them — implements one contract,
+:class:`CheckpointBackend`.  The manager, recovery planner, retention
+auditor and resume path all program against this interface only, so new
+tiers (remote object stores, compression stages, parallel shard writers)
+drop in without touching the core.
 
 Contract highlights
 -------------------
 * ``put`` serializes an entry (field -> ndarray mapping) and stores it
   under a key with an iteration *stamp*; it returns the payload size.
 * ``put_many`` is the batched form — backends may amortise index
-  maintenance over the batch (the disk store flushes its index once).
+  maintenance over the batch (the sharded store appends one journal
+  write per batch).
 * ``get`` / ``stamp_of`` / ``nbytes_of`` raise :class:`KVStoreError`
   (a ``KeyError`` subclass) for missing keys.
 * Byte meters (``bytes_written`` / ``bytes_read`` / ``put_count``) count
@@ -242,10 +244,10 @@ def make_backend(
 ) -> CheckpointBackend:
     """Construct a persist-tier backend by name.
 
-    ``memory`` ignores ``root`` (useful for demos and tests); ``disk``,
-    ``sharded``, ``dedup`` and ``tiered`` require a directory.  ``codec``
-    (a chunk codec name or instance) and ``parallel_workers``
-    (chunk-codec threads) apply at the chunk
+    ``memory`` ignores ``root`` (useful for demos and tests);
+    ``sharded`` (the default persist tier), ``dedup`` and ``tiered``
+    require a directory.  ``codec`` (a chunk codec name or instance)
+    and ``parallel_workers`` (chunk-codec threads) apply at the chunk
     boundary, so they require a dedup tier: the ``dedup`` backend
     itself, or ``tiered`` (whose local tier is a dedup store and
     inherits both).  The ``remote_*``/``upload_workers``/
@@ -258,7 +260,7 @@ def make_backend(
     them; backends without private counters ignore it.
     """
     from .dedup import DedupBackend
-    from .kvstore import DiskKVStore, InMemoryKVStore
+    from .kvstore import InMemoryKVStore
     from .sharded import ShardedDiskKVStore
 
     if (codec is not None or parallel_workers) and kind not in ("dedup", "tiered"):
@@ -275,8 +277,6 @@ def make_backend(
         return InMemoryKVStore()
     if root is None:
         raise ValueError(f"backend {kind!r} requires a root directory")
-    if kind == "disk":
-        return DiskKVStore(root)
     if kind == "sharded":
         return ShardedDiskKVStore(root)
     if kind == "dedup":

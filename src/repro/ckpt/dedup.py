@@ -10,9 +10,8 @@ every expert).  This module turns that insight into storage-layer wins:
 * :class:`ChunkStore` — a SHA-256-addressed store of immutable,
   fixed-size chunks with **refcounted garbage collection**.  Chunk
   files are written once and never mutated; liveness is tracked by an
-  append-only refcount journal (``refs.jsonl``) replayed on open with
-  the same torn-tail truncation discipline as the sharded store's
-  index journal.
+  append-only refcount journal (``refs.jsonl``, a
+  :class:`~repro.ckpt.journal.Journal`) replayed on open.
 * :class:`DedupBackend` — a :class:`~repro.ckpt.backend.
   CheckpointBackend` whose ``put`` chunks the serialized payload,
   stores only *novel* chunks, and journals a **manifest** (the entry's
@@ -53,13 +52,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import jsonl
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span
 from .backend import CheckpointBackend, CrashInjected, KVStoreError
@@ -72,27 +69,11 @@ from .codec import (
     make_chunk_codec,
     train_dictionary,
 )
+from .journal import Journal
 from .parallel import ParallelChunkEngine, encode_jobs
 from .serializer import DEFAULT_CHUNK_BYTES, PayloadFrames
 
-# Journal and maintenance instruments on the process-wide registry,
-# labeled per journal ("refs"/"manifests"/"tier") so the shared
-# _JsonlJournal accounts each owner separately.
-_JOURNAL_APPENDS = get_registry().counter(
-    "moc_journal_appends_total",
-    "Journal append calls (batches, not records)",
-    labelnames=("journal",),
-)
-_JOURNAL_RECORDS = get_registry().counter(
-    "moc_journal_records_total",
-    "Records appended to a journal",
-    labelnames=("journal",),
-)
-_JOURNAL_COMPACTIONS = get_registry().counter(
-    "moc_journal_compactions_total",
-    "Journal rewrite (compaction) passes",
-    labelnames=("journal",),
-)
+# Maintenance instruments on the process-wide registry.
 _GC_RUNS = get_registry().counter(
     "moc_dedup_gc_runs_total", "Dedup garbage-collection passes"
 )
@@ -137,79 +118,6 @@ def chunk_payload(payload: bytes, chunk_bytes: int) -> List[bytes]:
 
 def chunk_digest(chunk: bytes) -> str:
     return hashlib.sha256(chunk).hexdigest()
-
-
-class _JsonlJournal:
-    """Append-only JSONL journal shared by refs and manifests.
-
-    Replay truncates a torn tail (a final line without its newline, or
-    one that fails to parse) exactly like the sharded store's index
-    journal, so acknowledged appends always survive the *next* replay
-    too.  ``fault`` is the owner's crash-injection seam; the journal
-    emits ``<name>:mid-append`` (torn-line window) and
-    ``<name>:appended`` points.
-    """
-
-    def __init__(self, path: str, name: str, fault: Callable[[str], None]) -> None:
-        self.path = path
-        self.name = name
-        self._fault = fault
-        self.records = 0  # records currently in the file
-        self.appends = 0  # records appended by this instance
-
-    def replay(self) -> List[dict]:
-        if not os.path.exists(self.path):
-            return []
-        out: List[dict] = []
-        valid_bytes = 0
-        with open(self.path, "rb") as handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
-                valid_bytes += len(line)
-                out.append(record)
-        if valid_bytes < os.path.getsize(self.path):
-            os.truncate(self.path, valid_bytes)
-        self.records = len(out)
-        return out
-
-    def append(self, records: Sequence[dict]) -> None:
-        if not records:
-            return
-        with _span("journal-append", journal=self.name, records=len(records)):
-            text = "".join(map(jsonl.encode_record, records))
-            with open(self.path, "a", encoding="utf-8") as handle:
-                if len(text) > 1:
-                    # Crash seam: a hook may die between the halves,
-                    # leaving a torn line for replay to truncate.
-                    half = len(text) // 2
-                    handle.write(text[:half])
-                    handle.flush()
-                    self._fault(f"{self.name}:mid-append")
-                    handle.write(text[half:])
-                else:  # pragma: no cover - single-byte record never occurs
-                    handle.write(text)
-        self.records += len(records)
-        self.appends += len(records)
-        _JOURNAL_APPENDS.labels(journal=self.name).inc()
-        _JOURNAL_RECORDS.labels(journal=self.name).inc(len(records))
-        self._fault(f"{self.name}:appended")
-
-    def rewrite(self, records: Sequence[dict]) -> None:
-        """Atomically compact the journal down to ``records``."""
-        with _span("journal-compact", journal=self.name, records=len(records)):
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(jsonl.encode_record(record))
-            self._fault(f"{self.name}:compact-tmp-written")
-            os.replace(tmp, self.path)
-        _JOURNAL_COMPACTIONS.labels(journal=self.name).inc()
-        self.records = len(records)
 
 
 @dataclass(frozen=True)
@@ -286,7 +194,7 @@ class ChunkStore:
         self._fault = fault
         self._shard_dirs_made: set = set()
         self.refs: Dict[str, int] = {}
-        self._journal = _JsonlJournal(os.path.join(root, "refs.jsonl"), "refs", fault)
+        self._journal = Journal(os.path.join(root, "refs.jsonl"), "refs", fault)
         # Meters: physical (novel-chunk) bytes vs dedup hits.  With a
         # chunk codec, ``chunk_bytes_written`` counts *encoded* bytes —
         # it is the physical meter — and ``chunks_encoded`` says how
@@ -576,7 +484,7 @@ class DedupBackend(CheckpointBackend):
                 parallel_workers, codec=self.codec, decode=self.chunks.decode_chunk
             )
             self.engine.fault = self._fault
-        self._manifests = _JsonlJournal(
+        self._manifests = Journal(
             os.path.join(root, "manifests.jsonl"), "manifest", self._fault
         )
         self._index: Dict[str, Dict[str, object]] = {}

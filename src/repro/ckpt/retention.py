@@ -6,8 +6,10 @@ recoverable, because unselected experts' latest durable versions live in
 entry key, at least the newest stored version — and delete only versions
 that have been fully superseded.
 
-Our :class:`~repro.ckpt.kvstore.DiskKVStore` already keeps exactly one
-(the latest) version per key, so per-key supersession is implicit; what
+Every persist backend keeps exactly one (the latest) version per key —
+:class:`~repro.ckpt.sharded.ShardedDiskKVStore` unlinks a superseded
+version once its successor is journaled — so per-key supersession is
+implicit; what
 remains is bounding *metadata* growth and answering the operational
 question "which iterations are still recoverable, and what is the
 oldest stamp recovery would pull in?".  :class:`RetentionAuditor`
@@ -23,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span
-from .kvstore import BaseKVStore
+from .backend import CheckpointBackend
 from .manifest import parse_entry_key
 
 _PRUNED_ENTRIES = get_registry().counter(
@@ -83,7 +85,7 @@ class DedupFootprint:
 class RetentionAuditor:
     """Inspect a store's recoverability under PEC versioning."""
 
-    def __init__(self, store: BaseKVStore) -> None:
+    def __init__(self, store: CheckpointBackend) -> None:
         self.store = store
 
     def footprint(self) -> RecoveryFootprint:

@@ -1,22 +1,17 @@
-"""Sharded persistent store with an append-only journal index.
+"""Sharded persistent store: versioned entry files indexed by a journal.
 
-:class:`~repro.ckpt.kvstore.DiskKVStore` rewrites its whole JSON index on
-every put — O(n) per write, O(n²) across a training run, and a single
-hot directory holding every entry file.  This store fixes both:
+The persist tier of Section 5 keeps checkpoint entries as key-value
+pairs on disk:
 
 * **Sharded layout** — entries live under ``<root>/shards/<hh>/`` where
   ``hh`` is a hash prefix of the key, keeping directories small and
   letting parallel readers/writers fan out across shards.
-* **Journal index** — metadata is an append-only JSONL file.  A put
-  appends one line (O(1)); opening the store replays the journal, last
-  record per key winning.  Deletes append tombstones.  A torn final
-  line (crash mid-append) is truncated on replay, so the store recovers
-  to the last complete record.
+* **Journal index** — metadata is the append-only
+  :class:`~repro.ckpt.journal.Journal` ``<root>/index.jsonl``.  A put
+  appends one record (O(1)); opening the store replays the journal,
+  last record per key winning.  Deletes append tombstones.
 * **Periodic compaction** — when the journal holds far more records
-  than live keys, it is rewritten to one record per key (atomic via
-  ``os.replace``).  ``compactions`` counts them; ``journal_appends``
-  counts appended records, and ``index_rewrites`` stays 0 by
-  construction (the property the microbenchmark asserts).
+  than live keys, it is rewritten to one record per key.
 
 Crash consistency
 -----------------
@@ -33,8 +28,7 @@ Every crash window leaves the store consistent:
   intact, a stray ``.tmp`` is ignored;
 * crash after the payload lands but before the journal append — the new
   file is an invisible orphan; replay serves the previous version with
-  matching metadata (stamp, nbytes and bytes all agree — unlike a flat
-  store that overwrites payloads in place);
+  matching metadata (stamp, nbytes and bytes all agree);
 * crash mid-append — the torn journal line is truncated on replay;
 * crash mid-compaction — the compacted file is still a ``.tmp``; the
   original journal is untouched.
@@ -44,18 +38,31 @@ to the end of the batch, so payloads never outlive the records that
 reference them in the wrong order.  The crash-injection test suite
 (``tests/test_crash_injection.py``) drives every window above through
 the ``fault_hook`` seam on :class:`~repro.ckpt.backend.CheckpointBackend`.
+
+Concurrency
+-----------
+One store lock guards the index, the batch deferral, journal appends,
+compaction and unlinks, so writers on several threads (the tiered
+backend's upload workers) cannot interleave a batch or race two
+compactions.  A read takes the lock only to look up the entry's
+metadata and reads the file outside it; if a concurrent overwrite
+unlinked that file first, the read looks up again once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import json
 import os
-from typing import Dict, List
+import threading
+from typing import Dict, Iterator, List, Tuple
 
-from . import jsonl
 from .backend import CheckpointBackend, CrashInjected, KVStoreError, escape_key
+from .journal import Journal
 from .serializer import write_payload
+
+#: Files of the retired flat store; a root holding them is not ours.
+_FLAT_LAYOUT = ("index.json", "entries")
 
 
 class ShardedDiskKVStore(CheckpointBackend):
@@ -73,66 +80,55 @@ class ShardedDiskKVStore(CheckpointBackend):
             raise ValueError("shard_width must be >= 1")
         if compact_garbage_ratio <= 1.0:
             raise ValueError("compact_garbage_ratio must be > 1")
+        journal_path = os.path.join(root, "index.jsonl")
+        if not os.path.exists(journal_path) and any(
+            os.path.exists(os.path.join(root, name)) for name in _FLAT_LAYOUT
+        ):
+            # Reading it as an empty store would make a resume silently
+            # start over from scratch.
+            raise KVStoreError(
+                f"{root!r} holds the flat-store layout (index.json, entries/), "
+                "which is no longer supported"
+            )
         self.root = root
         self.shard_width = shard_width
         self.compact_min_records = compact_min_records
         self.compact_garbage_ratio = compact_garbage_ratio
         self._shards_dir = os.path.join(root, "shards")
-        self._journal_path = os.path.join(root, "index.jsonl")
         os.makedirs(self._shards_dir, exist_ok=True)
-        self._index: Dict[str, Dict[str, int]] = {}
+        self._lock = threading.RLock()
+        self._journal = Journal(journal_path, "journal", self._fault)
+        #: key -> (stamp, nbytes, gen) of the version the journal names.
+        self._index: Dict[str, Tuple[int, int, int]] = {}
         self._shard_dirs_made: set = set()
         self._defer_journal = False
         self._pending_records: List[dict] = []
         # Superseded / deleted payload files whose removal must wait for
         # the journal records that stop referencing them (batched path).
         self._pending_unlinks: List[str] = []
-        self.journal_records = 0  # records currently in the journal file
-        self.journal_appends = 0  # records appended by this instance
         self.compactions = 0
-        self.index_rewrites = 0  # always 0; meter kept for symmetry
-        self._replay()
+        for record in self._journal.replay():
+            if record["op"] == "put":
+                self._index[record["key"]] = (
+                    int(record["stamp"]),
+                    int(record["nbytes"]),
+                    int(record.get("gen", 0)),
+                )
+            elif record["op"] == "del":
+                self._index.pop(record["key"], None)
+
+    @property
+    def journal_records(self) -> int:
+        """Records currently in the journal file."""
+        return self._journal.records
+
+    @property
+    def journal_appends(self) -> int:
+        """Records appended by this instance."""
+        return self._journal.appends
 
     # -- journal --------------------------------------------------------
-    def _replay(self) -> None:
-        """Rebuild the in-memory index from the journal.
-
-        The journal is append-only, so only its *final* line can be torn
-        by a crash; a line that fails to parse is treated as the torn
-        tail: replay stops there and the file is truncated back to the
-        last complete record, so later appends cannot concatenate onto
-        the torn fragment (which would corrupt the *next* replay).
-        """
-        if not os.path.exists(self._journal_path):
-            return
-        valid_bytes = 0
-        with open(self._journal_path, "rb") as handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    # A complete record always ends with the newline its
-                    # append wrote before acknowledging; a parseable tail
-                    # without one is still a torn write, and accepting it
-                    # would let the next append concatenate onto it and
-                    # a later replay drop acknowledged records.
-                    break
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
-                valid_bytes += len(line)
-                self.journal_records += 1
-                if record["op"] == "put":
-                    self._index[record["key"]] = {
-                        "stamp": int(record["stamp"]),
-                        "nbytes": int(record["nbytes"]),
-                        "gen": int(record.get("gen", 0)),
-                    }
-                elif record["op"] == "del":
-                    self._index.pop(record["key"], None)
-        if valid_bytes < os.path.getsize(self._journal_path):
-            os.truncate(self._journal_path, valid_bytes)
-
-    def _journal(self, record: dict) -> None:
+    def _journal_record(self, record: dict) -> None:
         """Record one index mutation — buffered inside a batch."""
         if self._defer_journal:
             self._pending_records.append(record)
@@ -140,47 +136,17 @@ class ShardedDiskKVStore(CheckpointBackend):
             self._append_records([record])
 
     def _append_records(self, records: List[dict]) -> None:
-        """Append journal records in one write, then maybe compact.
-
-        Records are encoded by the preformatted JSONL writer
-        (:mod:`repro.ckpt.jsonl`) — same on-disk format, none of
-        ``json.dumps``'s generic-encoder overhead on the put path.
-        """
-        text = "".join(map(jsonl.encode_record, records))
-        with open(self._journal_path, "a", encoding="utf-8") as handle:
-            if self.fault_hook is not None and len(text) > 1:
-                # Crash-injection seam: split the append so a hook can
-                # model a torn line (partial bytes durable, then death).
-                half = len(text) // 2
-                handle.write(text[:half])
-                handle.flush()
-                self._fault("journal:mid-append")
-                handle.write(text[half:])
-            else:
-                handle.write(text)
-        self.journal_records += len(records)
-        self.journal_appends += len(records)
-        self._fault("journal:appended")
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
+        """Append journal records in one write, then maybe compact."""
+        self._journal.append(records)
         threshold = max(
             self.compact_min_records,
             self.compact_garbage_ratio * max(len(self._index), 1),
         )
-        if self.journal_records < threshold:
+        if self._journal.records < threshold:
             return
-        tmp = self._journal_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for key in sorted(self._index):
-                meta = self._index[key]
-                handle.write(jsonl.put_line(
-                    key, int(meta["stamp"]), int(meta["nbytes"]),
-                    gen=int(meta.get("gen", 0)),
-                ))
-        self._fault("compact:tmp-written")
-        os.replace(tmp, self._journal_path)
-        self.journal_records = len(self._index)
+        self._journal.rewrite([
+            _put_record(key, *meta) for key, meta in sorted(self._index.items())
+        ])
         self.compactions += 1
 
     # -- layout ---------------------------------------------------------
@@ -205,25 +171,14 @@ class ShardedDiskKVStore(CheckpointBackend):
         suffix = f"@{stamp}.bin" if gen == 0 else f"@{stamp}.{gen}.bin"
         return os.path.join(self._shard_of(key), escape_key(key) + suffix)
 
-    def _legacy_path(self, key: str) -> str:
-        """Pre-versioning payload path (PR-1 layout: no stamp suffix).
-
-        Reads fall back to it so an existing checkpoint directory stays
-        resumable; rewrites land under versioned names.
-        """
-        return os.path.join(self._shard_of(key), escape_key(key) + ".bin")
-
-    def _ensure_shard_dir(self, path: str) -> None:
-        shard = os.path.dirname(path)
-        if shard not in self._shard_dirs_made:
-            os.makedirs(shard, exist_ok=True)
-            self._shard_dirs_made.add(shard)
-
     def _write_payload(self, path: str, payload) -> None:
         """Atomic payload replace: a torn write never clobbers any
         version a journal record can reference.  Frame ropes go out in
         one buffered ``writelines`` — no concatenation."""
-        self._ensure_shard_dir(path)
+        shard = os.path.dirname(path)
+        if shard not in self._shard_dirs_made:
+            os.makedirs(shard, exist_ok=True)
+            self._shard_dirs_made.add(shard)
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
             write_payload(handle, payload)
@@ -240,44 +195,51 @@ class ShardedDiskKVStore(CheckpointBackend):
         if self._defer_journal:
             self._pending_unlinks.append(path)
             return
-        if os.path.exists(path):
+        with contextlib.suppress(FileNotFoundError):
             os.remove(path)
-
-    def _superseded_path(self, key: str, old_meta: Dict[str, int]) -> str:
-        """The payload file an overwrite/delete makes unreferenced."""
-        path = self._path(key, int(old_meta["stamp"]), int(old_meta.get("gen", 0)))
-        if os.path.exists(path):
-            return path
-        return self._legacy_path(key)
 
     # -- backend contract -----------------------------------------------
     def _write(self, key: str, payload, stamp: int, node) -> None:
-        old_meta = self._index.get(key)
-        gen = 0
-        if old_meta is not None and int(old_meta["stamp"]) == stamp:
-            # Same-key same-stamp overwrite: bump the generation so the
-            # new payload lands in a fresh file and the journaled old
-            # version survives a crash before the new record is durable.
-            gen = int(old_meta.get("gen", 0)) + 1
-        self._write_payload(self._path(key, stamp, gen), payload)
-        self._fault("payload:durable")
-        self._index[key] = {"stamp": stamp, "nbytes": len(payload), "gen": gen}
-        record = {"op": "put", "key": key, "stamp": stamp, "nbytes": len(payload)}
-        if gen:
-            record["gen"] = gen
-        self._journal(record)
-        if old_meta is not None:
-            self._unlink_after_journal(self._superseded_path(key, old_meta))
+        with self._lock:
+            old_meta = self._index.get(key)
+            gen = 0
+            if old_meta is not None and old_meta[0] == stamp:
+                # Same-key same-stamp overwrite: bump the generation so
+                # the new payload lands in a fresh file and the journaled
+                # old version survives a crash before the new record is
+                # durable.
+                gen = old_meta[2] + 1
+            self._write_payload(self._path(key, stamp, gen), payload)
+            self._fault("payload:durable")
+            self._index[key] = (stamp, len(payload), gen)
+            self._journal_record(_put_record(key, stamp, len(payload), gen))
+            if old_meta is not None:
+                self._unlink_after_journal(self._path(key, old_meta[0], old_meta[2]))
+
+    @contextlib.contextmanager
+    def _batch(self) -> Iterator[None]:
+        """Hold the lock for a batch and defer its journal records and
+        unlinks to one append at the end.
+
+        If the batch fails part-way, the records of the completed prefix
+        are still appended before the error propagates — the journal
+        never lags payloads that were already written.  A
+        :class:`CrashInjected` models process death instead: a dead
+        process appends nothing and unlinks nothing, so the deferred
+        work is *discarded* and the reopened store sees only what was
+        durable at the fault point (orphan payload files, the old
+        journal).
+        """
+        with self._lock:
+            self._defer_journal = True
+            try:
+                yield
+            except BaseException as exc:
+                self._finish_batch(crashed=isinstance(exc, CrashInjected))
+                raise
+            self._finish_batch()
 
     def _finish_batch(self, crashed: bool = False) -> None:
-        """Flush deferred journal records, then deferred file unlinks.
-
-        ``crashed`` models a process death mid-batch (the crash-injection
-        suite's :class:`CrashInjected`): a dead process appends nothing
-        and unlinks nothing, so the deferred work is *discarded* — the
-        reopened store must see only what was durable at the fault
-        point (orphan payload files, the old journal).
-        """
         records, self._pending_records = self._pending_records, []
         unlinks, self._pending_unlinks = self._pending_unlinks, []
         self._defer_journal = False
@@ -286,87 +248,75 @@ class ShardedDiskKVStore(CheckpointBackend):
         if records:
             self._append_records(records)
         for path in unlinks:
-            if os.path.exists(path):
-                os.remove(path)
+            self._unlink_after_journal(path)
 
     def put_many_serialized(self, items) -> List[int]:
         """Batched puts: one journal append for the whole batch.
 
         Routes through ``put_serialized`` (and thus the ``_write`` hook,
-        so subclasses see every entry) with journaling deferred.  If an
-        item fails mid-batch, the records of the completed prefix are
-        still appended before the error propagates — the journal never
-        lags payloads that were already written.  Superseded payload
-        files are unlinked only after the batch's records are durable.
+        so subclasses see every entry).  Superseded payload files are
+        unlinked only after the batch's records are durable.
         """
-        self._defer_journal = True
-        try:
-            sizes = [self.put_serialized(key, payload, stamp, node)
-                     for key, payload, stamp, node in items]
-        except BaseException as exc:
-            self._finish_batch(crashed=isinstance(exc, CrashInjected))
-            raise
-        self._finish_batch()
-        return sizes
+        with self._batch():
+            return [self.put_serialized(key, payload, stamp, node)
+                    for key, payload, stamp, node in items]
+
+    def _meta(self, key: str) -> Tuple[int, int, int]:
+        with self._lock:
+            meta = self._index.get(key)
+        if meta is None:
+            raise KVStoreError(key)
+        return meta
 
     def _read(self, key: str) -> bytes:
-        if key not in self._index:
-            raise KVStoreError(key)
-        meta = self._index[key]
-        try:
-            path = self._path(key, int(meta["stamp"]), int(meta.get("gen", 0)))
-            with open(path, "rb") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            pass
-        # Pre-versioning layout fallback, gated on the indexed size so a
-        # stale unversioned file can never masquerade as a newer stamp.
-        try:
-            with open(self._legacy_path(key), "rb") as handle:
-                payload = handle.read()
-        except FileNotFoundError:
-            raise KVStoreError(key) from None
-        if len(payload) != int(meta["nbytes"]):
-            raise KVStoreError(key)
-        return payload
+        for _ in range(2):
+            stamp, _nbytes, gen = self._meta(key)
+            try:
+                with open(self._path(key, stamp, gen), "rb") as handle:
+                    return handle.read()
+            except FileNotFoundError:
+                continue  # a concurrent overwrite may have unlinked it
+        raise KVStoreError(key)
 
     def stamp_of(self, key: str) -> int:
-        if key not in self._index:
-            raise KVStoreError(key)
-        return int(self._index[key]["stamp"])
+        return self._meta(key)[0]
 
     def nbytes_of(self, key: str) -> int:
-        if key not in self._index:
-            raise KVStoreError(key)
-        return int(self._index[key]["nbytes"])
+        return self._meta(key)[1]
 
     def has(self, key: str) -> bool:
-        return key in self._index
+        with self._lock:
+            return key in self._index
 
     def keys(self) -> List[str]:
-        return sorted(self._index)
+        with self._lock:
+            return sorted(self._index)
 
     def total_bytes(self) -> int:
-        return sum(int(meta["nbytes"]) for meta in self._index.values())
+        with self._lock:
+            return sum(nbytes for _stamp, nbytes, _gen in self._index.values())
 
     def delete(self, key: str) -> None:
-        if key not in self._index:
-            raise KVStoreError(key)
-        # Tombstone first: a crash after the journal append merely
-        # leaks an orphan payload file (invisible to the index), while
-        # the reverse order would leave a journal that still indexes a
-        # key whose payload is gone.
-        old_meta = self._index.pop(key)
-        self._journal({"op": "del", "key": key})
-        self._unlink_after_journal(self._superseded_path(key, old_meta))
+        with self._lock:
+            if key not in self._index:
+                raise KVStoreError(key)
+            # Tombstone first: a crash after the journal append merely
+            # leaks an orphan payload file (invisible to the index),
+            # while the reverse order would leave a journal that still
+            # indexes a key whose payload is gone.
+            stamp, _nbytes, gen = self._index.pop(key)
+            self._journal_record({"op": "del", "key": key})
+            self._unlink_after_journal(self._path(key, stamp, gen))
 
     def delete_many(self, keys) -> None:
         """Batched deletes: one journal append for all tombstones."""
-        self._defer_journal = True
-        try:
+        with self._batch():
             for key in keys:
                 self.delete(key)
-        except BaseException as exc:
-            self._finish_batch(crashed=isinstance(exc, CrashInjected))
-            raise
-        self._finish_batch()
+
+
+def _put_record(key: str, stamp: int, nbytes: int, gen: int) -> dict:
+    record = {"op": "put", "key": key, "stamp": stamp, "nbytes": nbytes}
+    if gen:
+        record["gen"] = gen
+    return record

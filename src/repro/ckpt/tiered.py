@@ -8,14 +8,13 @@ existing backends:
 
 * **Write-back puts.**  A put lands in the local tier synchronously and
   returns; a bounded background upload pipeline drains it to the remote
-  tier with retry / per-upload timeout / exponential backoff.  Training
+  tier with retry / per-upload timeout / jittered backoff.  Training
   never waits on remote latency.
-* **Crash-consistent promotion/demotion journal** (``tier.jsonl``,
-  reusing the dedup engine's :class:`~repro.ckpt.dedup._JsonlJournal`
-  torn-tail discipline).  The ordering is leak-only, mirroring the
-  dedup engine's: the ``up`` record claiming a remote copy is appended
-  strictly *after* the remote put returns, and local eviction happens
-  strictly *after* that claim is durable.  Every crash window therefore
+* **Crash-consistent promotion/demotion journal** (``tier.jsonl``, a
+  :class:`~repro.ckpt.journal.Journal`).  The ordering is leak-only,
+  mirroring the dedup engine's: the ``up`` record claiming a remote
+  copy is appended strictly *after* the remote put returns, and local
+  eviction happens strictly *after* that claim is durable.  Every crash window therefore
   leaks at most a redundant upload or an unclaimed remote copy
   (*warnings* ``fsck`` reports and ``gc`` reclaims) — never a claimed
   copy that does not exist (the only *error*), and never an evicted
@@ -59,7 +58,7 @@ from ..io.scheduler import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
 from .backend import CheckpointBackend, CrashInjected, KVStoreError, Payload
-from .dedup import _JsonlJournal
+from .journal import Journal
 
 
 class RemoteUnavailable(RuntimeError):
@@ -78,10 +77,8 @@ class DecorrelatedJitterBackoff:
 
     — each worker's next delay is drawn around its own previous one, so
     a cohort of simultaneous failures spreads out instead of re-colliding.
-    ``jitter=False`` restores the legacy pure-exponential schedule
-    (tests that pin exact sleep sequences use it), and ``seed`` makes
-    the jittered schedule reproducible.  Thread-safe: the RNG draw is
-    guarded so concurrent upload workers do not interleave the stream
+    ``seed`` makes the schedule reproducible.  Thread-safe: the RNG draw
+    is guarded so concurrent upload workers do not interleave the stream
     mid-draw (each still gets an independent draw, which is the point).
     """
 
@@ -90,21 +87,17 @@ class DecorrelatedJitterBackoff:
         base_seconds: float,
         cap_seconds: float,
         seed: Optional[int] = None,
-        jitter: bool = True,
     ) -> None:
         if base_seconds < 0 or cap_seconds < 0:
             raise ValueError("backoff durations must be non-negative")
         self.base_seconds = base_seconds
         self.cap_seconds = cap_seconds
-        self.jitter = jitter
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
 
-    def next_delay(self, previous: Optional[float], attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based); ``previous`` is the
-        last delay this caller slept, or ``None`` on its first retry."""
-        if not self.jitter:
-            return min(self.cap_seconds, self.base_seconds * (2 ** (attempt - 1)))
+    def next_delay(self, previous: Optional[float]) -> float:
+        """Delay before the next retry; ``previous`` is the last delay
+        this caller slept, or ``None`` on its first retry."""
         anchor = self.base_seconds if previous is None else previous
         with self._lock:
             draw = self._rng.uniform(
@@ -318,7 +311,6 @@ class TieredBackend(CheckpointBackend):
         upload_timeout_seconds: float = 120.0,
         backoff_base_seconds: float = 0.02,
         backoff_max_seconds: float = 1.0,
-        backoff_jitter: bool = True,
         backoff_seed: Optional[int] = None,
         hedge_after_seconds: Optional[float] = 0.25,
         remote_read_retries: int = 4,
@@ -347,20 +339,18 @@ class TieredBackend(CheckpointBackend):
             backoff_base_seconds,
             backoff_max_seconds,
             seed=backoff_seed,
-            jitter=backoff_jitter,
         )
         self.hedge_after_seconds = hedge_after_seconds
         self.remote_read_retries = remote_read_retries
         self.local_keep_stamps = local_keep_stamps
         self.promote_on_read = promote_on_read
 
-        # All tier state below is guarded by _state_lock; the journal is
-        # append-only and not internally locked, so appends take the
-        # lock too (they also serialize against the delete/claim race —
-        # see _upload_once).
+        # All tier state below is guarded by _state_lock; journal appends
+        # take it too, which serializes them against the delete/claim
+        # race (see _upload_once).
         self._state_lock = threading.RLock()
         self._cond = threading.Condition(self._state_lock)
-        self._journal = _JsonlJournal(journal_path, "tier", self._fault)
+        self._journal = Journal(journal_path, "tier", self._fault)
         #: key -> (stamp, nbytes) claimed durable on the remote tier.
         self._remote_claims: Dict[str, Tuple[int, int]] = {}
         #: Keys sitting in the upload queue (dedupe) / being uploaded.
@@ -694,7 +684,7 @@ class TieredBackend(CheckpointBackend):
                             self._upload_failures[key] = f"{type(exc).__name__}: {exc}"
                         return False
                     self._c_upload_retries.inc()
-                    delay = self.backoff.next_delay(delay, attempt)
+                    delay = self.backoff.next_delay(delay)
                     with _span("upload-backoff", key=key, attempt=attempt):
                         time.sleep(delay)
                     continue
@@ -831,7 +821,7 @@ class TieredBackend(CheckpointBackend):
         for attempt in range(self.remote_read_retries + 1):
             if attempt:
                 self._c_read_retries.inc()
-                delay = self.backoff.next_delay(delay, attempt)
+                delay = self.backoff.next_delay(delay)
                 with _span("read-backoff", key=key, attempt=attempt):
                     time.sleep(delay)
             try:
@@ -1115,7 +1105,6 @@ def open_tiered_root(
     upload_workers: int = 1,
     local_keep_stamps: Optional[int] = None,
     hedge_after_seconds: Optional[float] = 0.25,
-    backoff_jitter: bool = True,
     backoff_seed: Optional[int] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> TieredBackend:
@@ -1148,7 +1137,6 @@ def open_tiered_root(
         upload_workers=upload_workers,
         local_keep_stamps=local_keep_stamps,
         hedge_after_seconds=hedge_after_seconds,
-        backoff_jitter=backoff_jitter,
         backoff_seed=backoff_seed,
         registry=registry,
     )

@@ -841,8 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--interval", type=int, default=8)
     demo.add_argument("--experts", type=int, default=4)
     demo.add_argument("--backend",
-                      choices=["memory", "disk", "sharded", "dedup", "tiered"],
-                      default="disk", help="persist-tier storage backend "
+                      choices=["memory", "sharded", "dedup", "tiered"],
+                      default="sharded", help="persist-tier storage backend "
                       "(dedup enables delta saves and prints chunk stats; "
                       "tiered adds a write-back simulated remote object "
                       "tier behind the dedup local tier)")

@@ -192,7 +192,8 @@ class MoCCheckpointManager:
         :class:`~repro.ckpt.backend.CheckpointBackend`).
     backend:
         When building the persist tier from ``disk_root``: one of
-        ``"memory"``, ``"disk"``, ``"sharded"``
+        ``"memory"``, ``"sharded"`` (the default journal store),
+        ``"dedup"`` or ``"tiered"``
         (see :func:`~repro.ckpt.backend.make_backend`).
     async_writes:
         Route persist-tier saves through an
@@ -251,7 +252,7 @@ class MoCCheckpointManager:
         memory_store: Optional[InMemoryKVStore] = None,
         disk_store: Optional[CheckpointBackend] = None,
         disk_root: Optional[str] = None,
-        backend: str = "disk",
+        backend: str = "sharded",
         async_writes: bool = False,
         expert_placement: Optional[Mapping[ExpertKey, Sequence[int]]] = None,
         num_nodes: int = 2,

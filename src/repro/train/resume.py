@@ -41,7 +41,7 @@ class ResumedRun:
     recovery: Optional[RecoveryResult] = None
 
 
-def latest_persisted_iteration(disk_root: str, backend: str = "disk") -> int:
+def latest_persisted_iteration(disk_root: str, backend: str = "sharded") -> int:
     """The iteration of the newest durable checkpoint, or -1 if none."""
     if backend == "memory":
         # A fresh InMemoryKVStore is always empty: nothing in-process
@@ -63,7 +63,7 @@ def resume_training(
     moc_config: MoCConfig,
     trainer_config: TrainerConfig,
     disk_root: str,
-    backend: str = "disk",
+    backend: str = "sharded",
     async_writes: bool = False,
     fault_schedule: Optional[FaultSchedule] = None,
     val_fn_factory: Optional[Callable[[object], Callable[[], float]]] = None,
@@ -72,6 +72,8 @@ def resume_training(
 ) -> ResumedRun:
     """Rebuild a training stack from a persisted store.
 
+    ``backend`` names the persist tier the job saved to (see
+    :func:`~repro.ckpt.backend.make_backend`; ``"sharded"`` by default).
     ``model_factory`` must construct the same architecture the store was
     written from (entry keys are parameter names); ``optimizer_factory``
     receives the model and returns its Adam.  The returned trainer is

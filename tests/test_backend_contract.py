@@ -1,14 +1,17 @@
 """Shared contract suite: every backend honours the same storage rules.
 
-Parametrized over every backend (memory, flat disk, sharded journal,
-the content-addressed dedup store, and the async pipeline wrapping both
-journal-backed stores).  Backend-specific behaviour — journal
+Parametrized over every backend (memory, sharded journal, the
+content-addressed dedup store, the tiered store, and the async pipeline
+wrapping the journal-backed stores).  Backend-specific behaviour — journal
 crash-consistency, async error propagation, the no-index-rewrite
 property, chunk refcounting — is covered in dedicated classes below
 and in ``test_dedup.py``.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from repro.ckpt import (
     AsyncWriteError,
     CheckpointBackend,
     DedupBackend,
-    DiskKVStore,
     InMemoryKVStore,
     KVStoreError,
     ShardedDiskKVStore,
@@ -27,9 +29,12 @@ from repro.ckpt import (
     open_tiered_root,
     unescape_key,
 )
+from repro.ckpt.journal import Journal
+from repro.obs.metrics import get_registry
+from repro.train.resume import latest_persisted_iteration
 
 BACKENDS = [
-    "memory", "disk", "sharded", "dedup", "async", "async-dedup",
+    "memory", "sharded", "dedup", "async", "async-dedup",
     "tiered", "async-tiered",
 ]
 
@@ -39,8 +44,6 @@ def store(request, tmp_path) -> CheckpointBackend:
     kind = request.param
     if kind == "memory":
         backend = InMemoryKVStore()
-    elif kind == "disk":
-        backend = DiskKVStore(str(tmp_path / "disk"))
     elif kind == "sharded":
         backend = ShardedDiskKVStore(str(tmp_path / "sharded"))
     elif kind == "dedup":
@@ -268,7 +271,7 @@ class TestEscaping:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("kind", ["disk", "sharded", "dedup", "tiered"])
+    @pytest.mark.parametrize("kind", ["sharded", "dedup", "tiered"])
     def test_survives_reopen(self, kind, tmp_path):
         store = make_backend(kind, str(tmp_path))
         store.put("a/b", {"x": np.ones(5)}, stamp=7)
@@ -281,6 +284,10 @@ class TestPersistence:
         assert np.array_equal(reopened.get("a/b")["x"], np.ones(5))
         reopened.close()
 
+    def test_flat_disk_backend_is_gone(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("disk", str(tmp_path))
+
 
 class TestShardedJournal:
     def test_partial_journal_line_ignored_on_reopen(self, tmp_path):
@@ -288,7 +295,7 @@ class TestShardedJournal:
         store.put("a", {"x": np.ones(2)}, stamp=1)
         store.put("b", {"x": np.ones(3)}, stamp=2)
         # simulate a crash mid-append: torn trailing record
-        with open(store._journal_path, "a", encoding="utf-8") as handle:
+        with open(store._journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "put", "key": "c", "st')
         reopened = ShardedDiskKVStore(str(tmp_path))
         assert reopened.keys() == ["a", "b"]
@@ -300,7 +307,7 @@ class TestShardedJournal:
         # replay silently drops every post-crash record.
         store = ShardedDiskKVStore(str(tmp_path))
         store.put("a", {"x": np.ones(2)}, stamp=1)
-        with open(store._journal_path, "a", encoding="utf-8") as handle:
+        with open(store._journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "put", "key": "c", "st')
         recovered = ShardedDiskKVStore(str(tmp_path))
         recovered.put("d", {"x": np.ones(3)}, stamp=2)
@@ -312,7 +319,6 @@ class TestShardedJournal:
         store = ShardedDiskKVStore(str(tmp_path))
         for i in range(1000):
             store.put(f"k{i}", {"x": np.ones(1)}, stamp=i)
-        assert store.index_rewrites == 0
         assert store.compactions == 0
         assert store.journal_appends == 1000
 
@@ -361,7 +367,6 @@ class TestShardedJournal:
         for stamp in range(200):
             store.put("hot", {"x": np.full(2, float(stamp))}, stamp=stamp)
         assert store.compactions > 0
-        assert store.index_rewrites == 0
         assert store.stamp_of("hot") == 199
         reopened = ShardedDiskKVStore(str(tmp_path))
         assert reopened.stamp_of("hot") == 199
@@ -397,13 +402,97 @@ class TestShardedJournal:
         assert reopened.keys() == ["kept"]
 
     def test_indexed_key_with_missing_payload_raises_typed_error(self, tmp_path):
-        import os
-
         store = ShardedDiskKVStore(str(tmp_path))
         store.put("k", {"x": np.ones(1)}, stamp=0)
         os.remove(store._path("k", 0))
         with pytest.raises(KVStoreError):
             store.get("k")
+
+    @pytest.mark.parametrize("marker", ["index.json", "entries"])
+    def test_flat_layout_root_is_rejected(self, tmp_path, marker):
+        # A root written by the retired flat store must not read as an
+        # empty store: a resume would silently start from scratch.
+        path = tmp_path / marker
+        if marker == "entries":
+            path.mkdir()
+        else:
+            path.write_text("{}")
+        with pytest.raises(KVStoreError, match="flat-store layout"):
+            ShardedDiskKVStore(str(tmp_path))
+        with pytest.raises(KVStoreError, match="flat-store layout"):
+            latest_persisted_iteration(str(tmp_path))
+        assert not (tmp_path / "shards").exists()
+
+
+def run_threads(target, count: int) -> list:
+    """Run ``target(i)`` on ``count`` threads released together;
+    returns whatever they raised."""
+    barrier = threading.Barrier(count)
+    errors = []
+
+    def worker(index):
+        barrier.wait()
+        try:
+            target(index)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return errors
+
+
+class TestShardedConcurrency:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_concurrent_writers_lose_no_acknowledged_put(self, tmp_path, seed):
+        # Two writer threads (the tiered backend's upload workers) put
+        # disjoint keys into one store with default compaction: no
+        # thread may fail, and a reopen must serve every key at its last
+        # acknowledged stamp and bytes.
+        store = ShardedDiskKVStore(str(tmp_path))
+        acked = [{}, {}]
+
+        def writer(index):
+            rng = np.random.default_rng([seed, index])
+            for stamp in range(400):
+                key = f"w{index}/k{int(rng.integers(20))}"
+                value = np.full(int(rng.integers(1, 64)), float(stamp))
+                store.put(key, {"x": value}, stamp=stamp)
+                acked[index][key] = (value, stamp)
+
+        assert run_threads(writer, 2) == []
+        assert store.compactions > 0
+        expected = {**acked[0], **acked[1]}
+        for view in (store, ShardedDiskKVStore(str(tmp_path))):
+            assert view.keys() == sorted(expected)
+            for key, (value, stamp) in expected.items():
+                assert view.stamp_of(key) == stamp, key
+                assert np.array_equal(view.get(key)["x"], value), key
+
+    def test_concurrent_journal_appends_replay_intact(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = Journal(path, "test", lambda point: None)
+        threads, per_thread = 4, 200
+        digest = "ab" * 32
+
+        def appender(index):
+            for i in range(per_thread):
+                journal.append([{
+                    "op": "put", "key": f"t{index}/{i}", "stamp": i,
+                    "nbytes": i, "chunks": [digest] * 8,
+                }])
+
+        assert run_threads(appender, threads) == []
+        records = Journal(path, "test", lambda point: None).replay()
+        assert os.path.getsize(path) > 0
+        assert len(records) == threads * per_thread
+        assert sorted(record["key"] for record in records) == sorted(
+            f"t{index}/{i}" for index in range(threads) for i in range(per_thread)
+        )
+        assert all(record["chunks"] == [digest] * 8 for record in records)
 
 
 class TestAsyncPipeline:
@@ -419,14 +508,18 @@ class TestAsyncPipeline:
 
     def test_put_many_stays_batched_through_the_pipeline(self, tmp_path):
         # The async wrapper must hand whole batches to the inner store,
-        # preserving its batched index maintenance: one index rewrite
+        # preserving its batched index maintenance: one journal append
         # for the whole batch, not one per entry.
-        inner = DiskKVStore(str(tmp_path))
+        appends = get_registry().counter(
+            "moc_journal_appends_total", labelnames=("journal",)
+        ).labels(journal="journal")
+        inner = ShardedDiskKVStore(str(tmp_path))
         with AsyncWriteBackend(inner) as store:
+            before = appends.value
             store.put_many([(f"k{i}", {"x": np.ones(1)}, 0, 0) for i in range(8)])
             store.flush()
             assert inner.put_count == 8
-            assert inner.index_rewrites == 1
+            assert appends.value == before + 1
             assert inner.keys() == sorted(f"k{i}" for i in range(8))
 
     def test_writes_drain_in_submission_order(self, tmp_path):
@@ -590,7 +683,7 @@ class TestManagerIntegration:
             manager.checkpoint(iteration)
         return manager
 
-    @pytest.mark.parametrize("backend", ["disk", "sharded", "dedup", "tiered"])
+    @pytest.mark.parametrize("backend", ["sharded", "dedup", "tiered"])
     @pytest.mark.parametrize("async_writes", [False, True])
     def test_checkpoint_and_recover(self, tmp_path, backend, async_writes):
         manager = self._run(tmp_path, backend=backend, async_writes=async_writes)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.ckpt import (
     CheckpointManifest,
-    DiskKVStore,
     InMemoryKVStore,
     KVStoreError,
     ManifestRecord,
@@ -127,117 +126,6 @@ class TestInMemoryKVStore:
         store.put("k", {"x": np.ones(1)}, stamp=0)
         store.clear()
         assert store.keys() == []
-
-
-class TestDiskKVStore:
-    def test_put_get_roundtrip(self, tmp_path):
-        store = DiskKVStore(str(tmp_path))
-        store.put("ne:layer.weight", {"x": np.arange(4.0)}, stamp=3)
-        assert np.array_equal(store.get("ne:layer.weight")["x"], np.arange(4.0))
-        assert store.stamp_of("ne:layer.weight") == 3
-
-    def test_survives_reopen(self, tmp_path):
-        store = DiskKVStore(str(tmp_path))
-        store.put("k", {"x": np.ones(5)}, stamp=7)
-        reopened = DiskKVStore(str(tmp_path))
-        assert reopened.has("k")
-        assert reopened.stamp_of("k") == 7
-        assert np.array_equal(reopened.get("k")["x"], np.ones(5))
-
-    def test_missing_key_raises(self, tmp_path):
-        store = DiskKVStore(str(tmp_path))
-        with pytest.raises(KVStoreError):
-            store.get("nope")
-
-    def test_key_escaping(self, tmp_path):
-        store = DiskKVStore(str(tmp_path))
-        key = "expert:l0:e1:blocks.1.moe/experts.1.fc_in.weight"
-        store.put(key, {"x": np.ones(1)}, stamp=0)
-        assert store.has(key)
-        assert np.array_equal(store.get(key)["x"], np.ones(1))
-
-    def test_reads_legacy_escaped_entry_files(self, tmp_path):
-        # A store written under the old "/"->"__" escaping must stay
-        # readable (resume on an existing checkpoint directory).
-        store = DiskKVStore(str(tmp_path))
-        key = "expert:l0:e1:moe/experts.1.weight"
-        store.put(key, {"x": np.arange(3.0)}, stamp=5)
-        import os
-
-        legacy = os.path.join(
-            str(tmp_path), "entries",
-            key.replace("/", "__").replace(":", "_") + ".bin",
-        )
-        os.rename(store._path(key), legacy)
-        reopened = DiskKVStore(str(tmp_path))
-        assert np.array_equal(reopened.get(key)["x"], np.arange(3.0))
-
-    def test_legacy_fallback_rejects_size_mismatch(self, tmp_path):
-        # Legacy names are not unique per key ("a:b" -> "a_b.bin" is
-        # also the new-style file of the distinct key "a_b"); a legacy
-        # payload is only trusted when it matches the indexed size.
-        import os
-
-        store = DiskKVStore(str(tmp_path))
-        store.put("a:b", {"x": np.ones(4)}, stamp=1)
-        os.remove(store._path("a:b"))
-        store.put("a_b", {"x": np.ones(9)}, stamp=2)  # lands at a_b.bin
-        from repro.ckpt import KVStoreError
-
-        with pytest.raises(KVStoreError):
-            store.get("a:b")  # must not return a_b's payload
-
-    def test_delete_removes_legacy_entry_file(self, tmp_path):
-        import os
-
-        store = DiskKVStore(str(tmp_path))
-        key = "moe/experts.1.weight"
-        store.put(key, {"x": np.ones(2)}, stamp=0)
-        legacy = os.path.join(
-            str(tmp_path), "entries", key.replace("/", "__") + ".bin"
-        )
-        os.rename(store._path(key), legacy)
-        store.delete(key)
-        assert not os.path.exists(legacy)
-
-    def test_delete_legacy_fallback_spares_colliding_live_key(self, tmp_path):
-        # "a:b"'s legacy name is "a_b.bin" — also the new-style file of
-        # the distinct key "a_b".  Deleting the legacy-era "a:b" must
-        # not destroy "a_b"'s live payload (size gate, same as _read).
-        import os
-
-        store = DiskKVStore(str(tmp_path))
-        store.put("a:b", {"x": np.ones(4)}, stamp=1)
-        os.remove(store._path("a:b"))  # its payload "moved" to legacy era
-        store.put("a_b", {"x": np.ones(9)}, stamp=2)  # lives at a_b.bin
-        store.delete("a:b")
-        assert np.array_equal(store.get("a_b")["x"], np.ones(9))
-
-    def test_missing_entry_file_raises_typed_error(self, tmp_path):
-        store = DiskKVStore(str(tmp_path))
-        store.put("k", {"x": np.ones(1)}, stamp=0)
-        import os
-
-        os.remove(store._path("k"))
-        from repro.ckpt import KVStoreError
-
-        with pytest.raises(KVStoreError):
-            store.get("k")
-
-    def test_escaping_is_injective(self, tmp_path):
-        # Regression: "/"->"__" used to map "a/b" and "a__b" to one file,
-        # so the second put silently overwrote the first's payload.
-        store = DiskKVStore(str(tmp_path))
-        store.put("a/b", {"x": np.ones(2)}, stamp=1)
-        store.put("a__b", {"x": np.zeros(2)}, stamp=2)
-        assert np.array_equal(store.get("a/b")["x"], np.ones(2))
-        assert np.array_equal(store.get("a__b")["x"], np.zeros(2))
-
-    def test_total_bytes(self, tmp_path):
-        store = DiskKVStore(str(tmp_path))
-        a = store.put("a", {"x": np.ones(4)}, stamp=0)
-        b = store.put("b", {"x": np.ones(8)}, stamp=0)
-        assert store.total_bytes() == a + b
 
 
 class TestEntryKeys:

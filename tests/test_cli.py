@@ -116,7 +116,7 @@ class TestDemo:
         assert "fault at" in out
         assert "PLT %" in out
 
-    @pytest.mark.parametrize("backend", ["memory", "disk", "sharded"])
+    @pytest.mark.parametrize("backend", ["memory", "sharded"])
     def test_demo_backend_choices(self, capsys, backend):
         assert main(
             ["demo", "--iterations", "8", "--interval", "4", "--backend", backend]
@@ -140,9 +140,10 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "sharded (async)" in out
 
-    def test_demo_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("backend", ["tape", "disk"])
+    def test_demo_rejects_unknown_backend(self, backend):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", "--backend", "tape"])
+            build_parser().parse_args(["demo", "--backend", backend])
 
     def test_demo_parallel_codec_dedup(self, capsys):
         assert main(
@@ -165,7 +166,7 @@ class TestDemo:
     def test_demo_parallel_workers_require_dedup_backend(self, capsys):
         assert main(
             ["demo", "--iterations", "4", "--interval", "2",
-             "--backend", "disk", "--parallel-workers", "2"]
+             "--backend", "sharded", "--parallel-workers", "2"]
         ) == 2
         assert "dedup" in capsys.readouterr().err
 

@@ -9,10 +9,8 @@ survives — and reopens the directory, asserting what replay recovers:
 
 * every *acknowledged* operation (put/delete that returned) is durable
   with exact bytes, stamp and size metadata;
-* the in-flight operation resolves to a complete version — for the
-  journal store, metadata and payload always agree (versioned payload
-  files); the flat store's weaker in-place-overwrite contract is pinned
-  separately;
+* the in-flight operation resolves to a complete version — metadata
+  and payload always agree (versioned payload files);
 * torn journal tails are truncated so post-crash appends survive the
   *next* replay;
 * a crash mid-compaction never loses state.
@@ -24,6 +22,7 @@ cannot mask ordering bugs.
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import numpy as np
@@ -34,19 +33,14 @@ from repro.ckpt import (
     AsyncWriteError,
     CrashInjected,
     DedupBackend,
-    DiskKVStore,
     KVStoreError,
     ShardedDiskKVStore,
     open_tiered_root,
 )
 from repro.ckpt import dedup as dedup_module
 
-DISK_BACKENDS = ["disk", "sharded"]
 
-
-def open_store(kind: str, root, **kwargs):
-    if kind == "disk":
-        return DiskKVStore(str(root))
+def open_store(root, **kwargs):
     return ShardedDiskKVStore(str(root), **kwargs)
 
 
@@ -80,16 +74,15 @@ def assert_consistent(store, expected: dict) -> None:
 class TestMidPut:
     """Kill the process inside a single put, at every window."""
 
-    @pytest.mark.parametrize("kind", DISK_BACKENDS)
     @pytest.mark.parametrize("point", ["payload:tmp-written", "payload:durable"])
-    def test_new_key_crash_leaves_acked_prefix(self, tmp_path, kind, point):
-        store = open_store(kind, tmp_path)
+    def test_new_key_crash_leaves_acked_prefix(self, tmp_path, point):
+        store = open_store(tmp_path)
         store.put("a", entry(1.0), stamp=1)
         store.put("b", entry(2.0), stamp=2)
         crash_at(store, point)
         with pytest.raises(CrashInjected):
             store.put("c", entry(3.0), stamp=3)
-        reopened = open_store(kind, tmp_path)
+        reopened = open_store(tmp_path)
         # the unacknowledged key is invisible; acked ops are intact
         assert_consistent(
             reopened, {"a": (np.full(4, 1.0), 1), "b": (np.full(4, 2.0), 2)}
@@ -102,12 +95,12 @@ class TestMidPut:
         """Versioned payload files: a torn overwrite can never pair new
         bytes with old metadata — the journal still references the old
         file, which the overwrite did not touch."""
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("k", entry(1.0, size=4), stamp=1)
         crash_at(store, point)
         with pytest.raises(CrashInjected):
             store.put("k", entry(9.0, size=8), stamp=2)
-        reopened = open_store("sharded", tmp_path)
+        reopened = open_store(tmp_path)
         assert reopened.stamp_of("k") == 1
         payload = reopened.get("k")["x"]
         assert np.array_equal(payload, np.full(4, 1.0))
@@ -116,36 +109,19 @@ class TestMidPut:
             .serialize_entry(entry(1.0, size=4))
         )
 
-    def test_flat_overwrite_crash_pins_weaker_contract(self, tmp_path):
-        """The flat store replaces payloads in place: a crash between the
-        payload replace and the index flush leaves the *new* bytes under
-        the *old* metadata.  The entry stays a complete, deserializable
-        version — the documented (weaker) contract this test pins; the
-        journal store's versioned files close this window."""
-        store = open_store("disk", tmp_path)
-        store.put("k", entry(1.0), stamp=1)
-        crash_at(store, "payload:durable")
-        with pytest.raises(CrashInjected):
-            store.put("k", entry(9.0), stamp=2)
-        reopened = open_store("disk", tmp_path)
-        assert reopened.stamp_of("k") == 1  # metadata: old version
-        value = reopened.get("k")["x"]  # payload: complete, but NEW bytes
-        assert np.array_equal(value, np.full(4, 9.0))
-
-    @pytest.mark.parametrize("kind", DISK_BACKENDS)
-    def test_crash_leaves_no_unreadable_key(self, tmp_path, kind):
+    def test_crash_leaves_no_unreadable_key(self, tmp_path):
         """After any mid-put crash, every indexed key must be readable —
         no dangling index entries pointing at missing payloads."""
         for nth, point in enumerate(
             ["payload:tmp-written", "payload:durable"], start=1
         ):
             root = tmp_path / f"case{nth}"
-            store = open_store(kind, root)
+            store = open_store(root)
             store.put("stable", entry(5.0), stamp=1)
             crash_at(store, point)
             with pytest.raises(CrashInjected):
                 store.put("stable", entry(6.0), stamp=2)
-            reopened = open_store(kind, root)
+            reopened = open_store(root)
             for key in reopened.keys():
                 reopened.get(key)  # must not raise
 
@@ -154,26 +130,26 @@ class TestMidIndexAppend:
     def test_torn_journal_line_truncated_and_prefix_recovered(self, tmp_path):
         """Die halfway through the journal append: the torn line is
         truncated on replay and the store recovers the acked prefix."""
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("a", entry(1.0), stamp=1)
         crash_at(store, "journal:mid-append")
         with pytest.raises(CrashInjected):
             store.put("b", entry(2.0), stamp=2)
-        size_with_torn_tail = os.path.getsize(store._journal_path)
-        reopened = open_store("sharded", tmp_path)
+        size_with_torn_tail = os.path.getsize(store._journal.path)
+        reopened = open_store(tmp_path)
         assert_consistent(reopened, {"a": (np.full(4, 1.0), 1)})
         # the torn fragment was truncated away on replay
-        assert os.path.getsize(reopened._journal_path) < size_with_torn_tail
+        assert os.path.getsize(reopened._journal.path) < size_with_torn_tail
 
     def test_post_crash_writes_survive_next_replay(self, tmp_path):
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("a", entry(1.0), stamp=1)
         crash_at(store, "journal:mid-append")
         with pytest.raises(CrashInjected):
             store.put("torn", entry(2.0), stamp=2)
-        recovered = open_store("sharded", tmp_path)
+        recovered = open_store(tmp_path)
         recovered.put("after", entry(3.0), stamp=3)
-        final = open_store("sharded", tmp_path)
+        final = open_store(tmp_path)
         assert_consistent(
             final, {"a": (np.full(4, 1.0), 1), "after": (np.full(4, 3.0), 3)}
         )
@@ -187,7 +163,7 @@ class TestMidIndexAppend:
         invisible orphans and superseded versions are NOT reclaimed.
         (A non-crash mid-batch *error* still journals the completed
         prefix — that path is covered in the contract suite.)"""
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("old", entry(1.0), stamp=1)
         crash_at(store, "payload:durable", nth=3)
         batch = [("old", entry(7.0), 2, 0)] + [
@@ -195,7 +171,7 @@ class TestMidIndexAppend:
         ]
         with pytest.raises(CrashInjected):
             store.put_many(batch)
-        reopened = open_store("sharded", tmp_path)
+        reopened = open_store(tmp_path)
         # nothing from the dead batch is visible; the overwritten key
         # still serves its acknowledged version exactly
         assert_consistent(reopened, {"old": (np.full(4, 1.0), 1)})
@@ -204,13 +180,13 @@ class TestMidIndexAppend:
         """A put_many whose single batched journal append tears midway:
         replay recovers a clean *prefix* of the batch's records (payloads
         for the rest exist but are invisible orphans)."""
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("base", entry(0.0), stamp=0)
         crash_at(store, "journal:mid-append")
         batch = [(f"k{i}", entry(float(i)), 1, 0) for i in range(6)]
         with pytest.raises(CrashInjected):
             store.put_many(batch)
-        reopened = open_store("sharded", tmp_path)
+        reopened = open_store(tmp_path)
         keys = reopened.keys()
         assert "base" in keys
         recovered_batch = [key for key in keys if key.startswith("k")]
@@ -219,38 +195,66 @@ class TestMidIndexAppend:
         for key in keys:
             reopened.get(key)
 
-    def test_newline_less_tail_is_torn_even_if_parseable(self, tmp_path):
+    #: Every journal owner: how to open it, its journal file under the
+    #: root, and the keys a reopen serves once the newline of the final
+    #: record (the put of "b") is torn off.  Tearing an index or
+    #: manifest record un-commits "b"; tearing its incref or upload
+    #: claim leaves "b" committed locally.
+    JOURNAL_OWNERS = {
+        "index": (ShardedDiskKVStore, "index.jsonl", ["a"]),
+        "refs": (DedupBackend, os.path.join("chunks", "refs.jsonl"), ["a", "b"]),
+        "manifests": (DedupBackend, "manifests.jsonl", ["a"]),
+        "tier": (
+            lambda root: open_tiered_root(root, upload_workers=0),
+            "tier.jsonl",
+            ["a", "b"],
+        ),
+    }
+
+    @pytest.mark.parametrize("owner", sorted(JOURNAL_OWNERS))
+    def test_newline_less_tail_is_torn_even_if_parseable(self, tmp_path, owner):
         """Regression: a tail that parses as JSON but lacks its trailing
         newline is still a torn write (the append's ack covers the
         newline).  Accepting it would let the next append concatenate
         onto it and a later replay drop acknowledged records."""
-        store = open_store("sharded", tmp_path)
+        opener, name, keys_after_tear = self.JOURNAL_OWNERS[owner]
+        journal = str(tmp_path / name)
+        store = opener(str(tmp_path))
         store.put("a", entry(1.0), stamp=1)
         store.put("b", entry(2.0), stamp=2)
-        # crash tears off exactly the final newline: the 'b' record text
-        # is intact but unterminated
-        size = os.path.getsize(store._journal_path)
-        os.truncate(store._journal_path, size - 1)
-        recovered = open_store("sharded", tmp_path)
-        assert recovered.keys() == ["a"]  # unterminated record is torn
+        store.close()
+        # crash tears off exactly the final newline: the last record's
+        # text is intact but unterminated
+        os.truncate(journal, os.path.getsize(journal) - 1)
+        recovered = opener(str(tmp_path))
+        assert recovered.keys() == keys_after_tear  # unterminated record is torn
         recovered.put("c", entry(3.0), stamp=3)
-        final = open_store("sharded", tmp_path)
+        recovered.close()
+        with open(journal, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        # the post-crash append landed on a clean line boundary
+        assert lines[-1] == b""
+        for line in lines[:-1]:
+            json.loads(line)
+        final = opener(str(tmp_path))
         # the acked post-crash write survives the NEXT replay too
-        assert_consistent(
-            final, {"a": (np.full(4, 1.0), 1), "c": (np.full(4, 3.0), 3)}
-        )
+        expected = {"a": (np.full(4, 1.0), 1), "c": (np.full(4, 3.0), 3)}
+        if "b" in keys_after_tear:
+            expected["b"] = (np.full(4, 2.0), 2)
+        assert_consistent(final, expected)
+        final.close()
 
     def test_same_stamp_overwrite_crash_preserves_acked_version(self, tmp_path):
         """Regression: re-putting a key at the SAME stamp must not
         replace the referenced payload file in place — the generation
         suffix gives the new bytes a fresh file, so a crash before the
         journal append leaves the acknowledged version intact."""
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("k", entry(1.0, size=4), stamp=5)
         crash_at(store, "payload:durable")
         with pytest.raises(CrashInjected):
             store.put("k", entry(9.0, size=8), stamp=5)
-        reopened = open_store("sharded", tmp_path)
+        reopened = open_store(tmp_path)
         assert reopened.stamp_of("k") == 5
         value = reopened.get("k")["x"]
         assert np.array_equal(value, np.full(4, 1.0))  # acked bytes
@@ -264,7 +268,7 @@ class TestMidIndexAppend:
         escape_key), so key 'k' at stamp 5 after same-stamp overwrites
         and key 'k.5' at stamp 3 map to distinct files even when their
         hash shards coincide."""
-        store = open_store("sharded", tmp_path, shard_width=1)
+        store = open_store(tmp_path, shard_width=1)
         assert store._path("k", 5, 3) != store._path("k.5", 3, 0).replace(
             store._shard_of("k.5"), store._shard_of("k")
         )
@@ -272,16 +276,16 @@ class TestMidIndexAppend:
         store.put("k", entry(2.0), stamp=5)
         store.put("k", entry(3.0), stamp=5)  # gen 2
         store.put("k.5", entry(9.0), stamp=2)
-        reopened = open_store("sharded", tmp_path, shard_width=1)
+        reopened = open_store(tmp_path, shard_width=1)
         assert np.array_equal(reopened.get("k")["x"], np.full(4, 3.0))
         assert np.array_equal(reopened.get("k.5")["x"], np.full(4, 9.0))
 
     def test_same_stamp_overwrite_completes_and_reclaims_old_file(self, tmp_path):
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("k", entry(1.0), stamp=5)
         store.put("k", entry(2.0), stamp=5)
         store.put("k", entry(3.0), stamp=5)
-        reopened = open_store("sharded", tmp_path)
+        reopened = open_store(tmp_path)
         assert np.array_equal(reopened.get("k")["x"], np.full(4, 3.0))
         # superseded generations were unlinked once their successor's
         # record became durable
@@ -292,23 +296,13 @@ class TestMidIndexAppend:
         ]
         assert len(shard_files) == 1
 
-    def test_flat_index_crash_before_replace_keeps_old_index(self, tmp_path):
-        store = open_store("disk", tmp_path)
-        store.put("a", entry(1.0), stamp=1)
-        crash_at(store, "index:tmp-written")
-        with pytest.raises(CrashInjected):
-            store.put("b", entry(2.0), stamp=2)
-        reopened = open_store("disk", tmp_path)
-        assert_consistent(reopened, {"a": (np.full(4, 1.0), 1)})
-
-
 class TestMidCompaction:
     def make_compacting_store(self, root):
-        return open_store("sharded", root, compact_min_records=8)
+        return open_store(root, compact_min_records=8)
 
     def test_crash_before_compacted_replace_loses_nothing(self, tmp_path):
         store = self.make_compacting_store(tmp_path)
-        crash_at(store, "compact:tmp-written")
+        crash_at(store, "journal:compact-tmp-written")
         expected = {}
         with pytest.raises(CrashInjected):
             for stamp in range(50):
@@ -323,13 +317,13 @@ class TestMidCompaction:
         reopened.get("hot")
         # a stray .tmp from the dead compaction is ignored
         assert not any(
-            path == reopened._journal_path
+            path == reopened._journal.path
             for path in glob.glob(str(tmp_path / "*.tmp"))
         )
 
     def test_store_remains_writable_after_compaction_crash(self, tmp_path):
         store = self.make_compacting_store(tmp_path)
-        crash_at(store, "compact:tmp-written")
+        crash_at(store, "journal:compact-tmp-written")
         with pytest.raises(CrashInjected):
             for stamp in range(50):
                 store.put("hot", entry(float(stamp)), stamp=stamp)
@@ -343,27 +337,26 @@ class TestMidCompaction:
 
 
 class TestMidDelete:
-    @pytest.mark.parametrize("kind", DISK_BACKENDS)
-    def test_acked_deletes_are_durable(self, tmp_path, kind):
-        store = open_store(kind, tmp_path)
+    def test_acked_deletes_are_durable(self, tmp_path):
+        store = open_store(tmp_path)
         store.put("keep", entry(1.0), stamp=1)
         store.put("gone", entry(2.0), stamp=1)
         store.delete("gone")
         crash_at(store, "payload:tmp-written")
         with pytest.raises(CrashInjected):
             store.put("late", entry(3.0), stamp=2)
-        reopened = open_store(kind, tmp_path)
+        reopened = open_store(tmp_path)
         assert_consistent(reopened, {"keep": (np.full(4, 1.0), 1)})
 
     def test_sharded_tombstone_crash_leaks_only_orphans(self, tmp_path):
         """Crash right after the tombstone append: the payload file may
         leak, but the index never references it again."""
-        store = open_store("sharded", tmp_path)
+        store = open_store(tmp_path)
         store.put("gone", entry(2.0), stamp=1)
         crash_at(store, "journal:appended")
         with pytest.raises(CrashInjected):
             store.delete("gone")
-        reopened = open_store("sharded", tmp_path)
+        reopened = open_store(tmp_path)
         assert reopened.keys() == []
         with pytest.raises(KVStoreError):
             reopened.get("gone")

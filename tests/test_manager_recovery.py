@@ -285,10 +285,10 @@ class TestRecoveryPlanner:
             default_expert_placement(1, 2, num_nodes=0)
 
     def test_missing_persist_entry_raises(self, tmp_path):
-        from repro.ckpt import DiskKVStore
+        from repro.ckpt import ShardedDiskKVStore
 
         memory = InMemoryKVStore()
-        disk = DiskKVStore(str(tmp_path))
+        disk = ShardedDiskKVStore(str(tmp_path))
         with pytest.raises(KeyError):
             build_recovery_plan(
                 memory,

@@ -31,7 +31,6 @@ from repro.testing import (
 )
 from repro.ckpt import (
     AsyncWriteBackend,
-    DiskKVStore,
     InMemoryKVStore,
     ParallelRestorer,
     PayloadFrames,
@@ -167,14 +166,12 @@ class TestCodecProperties:
 def make_backend_for(kind: str, root):
     if kind == "memory":
         return InMemoryKVStore()
-    if kind == "disk":
-        return DiskKVStore(str(root))
     if kind == "sharded":
         return ShardedDiskKVStore(str(root))
     return AsyncWriteBackend(ShardedDiskKVStore(str(root)))
 
 
-BACKEND_KINDS = ["memory", "disk", "sharded", "async"]
+BACKEND_KINDS = ["memory", "sharded", "async"]
 TOPOLOGY_GRIDS = [((4, 2), (2, 4)), ((2, 2), (1, 4)), ((1, 4), (4, 1))]
 
 

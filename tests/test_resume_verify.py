@@ -170,12 +170,9 @@ class TestVerifyConsistency:
     def test_detects_missing_entry(self, tmp_path):
         model, manager, _, _ = run_job(tmp_path, total=4, interval=2)
         from repro.ckpt.manifest import non_expert_entry_key
-        import os
 
         name = manager._non_expert_params[0]
-        key = non_expert_entry_key(name)
-        os.remove(manager.disk_store._path(key))
-        del manager.disk_store._index[key]
+        manager.disk_store.delete(non_expert_entry_key(name))
         report = verify_consistency(manager)
         assert not report.ok
         assert report.counts().get("missing", 0) == 1

@@ -15,7 +15,6 @@ import pytest
 from repro.ckpt import (
     AsyncWriteBackend,
     DedupBackend,
-    DiskKVStore,
     InMemoryKVStore,
     RetentionAuditor,
     ShardedDiskKVStore,
@@ -27,14 +26,12 @@ from repro.ckpt import (
 )
 from repro.models.serial import ExpertKey
 
-BACKENDS = ["memory", "disk", "sharded", "dedup", "async", "async-dedup"]
+BACKENDS = ["memory", "sharded", "dedup", "async", "async-dedup"]
 
 
 def open_backend(kind: str, tmp_path):
     if kind == "memory":
         return InMemoryKVStore()
-    if kind == "disk":
-        return DiskKVStore(str(tmp_path / kind))
     if kind == "sharded":
         return ShardedDiskKVStore(str(tmp_path / kind))
     if kind == "dedup":
@@ -95,7 +92,7 @@ class TestPruning:
         assert not store.has(non_expert_entry_key("ghost.weight"))
         assert store.has(non_expert_entry_key("attn.weight"))
 
-    @pytest.mark.parametrize("kind", ["disk", "sharded", "dedup"])
+    @pytest.mark.parametrize("kind", ["sharded", "dedup"])
     def test_prune_survives_reopen(self, kind, tmp_path):
         store = seeded_store(open_backend(kind, tmp_path))
         store.put("ne:old.param", {"x": np.ones(1)}, stamp=1)

@@ -43,7 +43,7 @@ from repro.ckpt import (
     serialize_entry_frames,
     writable_entry,
 )
-from repro.ckpt import jsonl
+from repro.ckpt import journal
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
 from repro.testing import (
     TINY,
@@ -458,11 +458,11 @@ class TestJsonlEquivalence:
             {"op": "ref", "inc": {digest: 1}, "dec": {}},
         ]
         for record in records:
-            line = jsonl.encode_record(record)
+            line = journal.encode_record(record)
             assert line.endswith("\n"), record
             assert json.loads(line) == json.loads(json.dumps(record)), record
 
     def test_string_fast_path_boundaries(self):
         for text in ("", "plain", 'quo"te', "back\\slash", "uni漢code",
                      "ctrl\x1fchar", " spaced out ", "~tilde!"):
-            assert json.loads(jsonl.json_string(text)) == text
+            assert json.loads(journal.json_string(text)) == text

@@ -507,16 +507,11 @@ class TestIntegration:
 
 
 class TestDecorrelatedJitterBackoff:
-    def test_no_jitter_is_legacy_pure_exponential(self):
-        backoff = DecorrelatedJitterBackoff(0.1, 1.0, jitter=False)
-        delays = [backoff.next_delay(None, attempt) for attempt in (1, 2, 3, 4, 5)]
-        assert delays == [0.1, 0.2, 0.4, 0.8, 1.0]  # capped at the 5th
-
     def test_jittered_delays_stay_in_envelope(self):
         backoff = DecorrelatedJitterBackoff(0.1, 2.0, seed=3)
         previous = None
-        for attempt in range(1, 30):
-            delay = backoff.next_delay(previous, attempt)
+        for _ in range(29):
+            delay = backoff.next_delay(previous)
             anchor = 0.1 if previous is None else previous
             assert 0.1 <= delay <= min(2.0, max(0.1, anchor * 3.0)) + 1e-12
             previous = delay
@@ -525,8 +520,8 @@ class TestDecorrelatedJitterBackoff:
         def schedule(seed):
             backoff = DecorrelatedJitterBackoff(0.1, 2.0, seed=seed)
             delays, previous = [], None
-            for attempt in range(1, 10):
-                previous = backoff.next_delay(previous, attempt)
+            for _ in range(9):
+                previous = backoff.next_delay(previous)
                 delays.append(previous)
             return delays
 
@@ -537,29 +532,12 @@ class TestDecorrelatedJitterBackoff:
         """The point of the jitter: simultaneous failures draw distinct
         delays instead of all sleeping the same exponential step."""
         backoff = DecorrelatedJitterBackoff(0.1, 5.0, seed=7)
-        cohort = [backoff.next_delay(0.4, 3) for _ in range(16)]
+        cohort = [backoff.next_delay(0.4) for _ in range(16)]
         assert len(set(cohort)) > 8
-        legacy = DecorrelatedJitterBackoff(0.1, 5.0, jitter=False)
-        assert len({legacy.next_delay(0.4, 3) for _ in range(16)}) == 1
 
     def test_rejects_negative_durations(self):
         with pytest.raises(ValueError):
             DecorrelatedJitterBackoff(-0.1, 1.0)
-
-    def test_tiered_backend_jitter_off_matches_legacy_sleeps(self, tmp_path):
-        """The backend's jitter=False escape hatch keeps the historical
-        deterministic schedule for tests that pin exact sleeps."""
-        store = TieredBackend(
-            local=DedupBackend(str(tmp_path / "local")),
-            remote=SimulatedObjectStore(InMemoryKVStore()),
-            journal_path=str(tmp_path / "tier.jsonl"),
-            upload_workers=0,
-            backoff_base_seconds=0.01,
-            backoff_max_seconds=0.04,
-            backoff_jitter=False,
-        )
-        assert not store.backoff.jitter
-        store.close()
 
 
 class TestSimulatedStoreDeterminism:
