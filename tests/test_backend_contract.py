@@ -1,8 +1,9 @@
 """Shared contract suite: every backend honours the same storage rules.
 
-Parametrized over every backend (memory, sharded journal, the
-content-addressed dedup store, the tiered store, and the async pipeline
-wrapping the journal-backed stores).  Backend-specific behaviour — journal
+Parametrized over every backend (memory, sharded journal — also with
+compaction after nearly every append — the content-addressed dedup
+store, the tiered store, and the async pipeline wrapping the
+journal-backed stores).  Backend-specific behaviour — journal
 crash-consistency, async error propagation, the no-index-rewrite
 property, chunk refcounting — is covered in dedicated classes below
 and in ``test_dedup.py``.
@@ -10,6 +11,7 @@ and in ``test_dedup.py``.
 
 from __future__ import annotations
 
+import glob
 import os
 import threading
 
@@ -34,8 +36,8 @@ from repro.obs.metrics import get_registry
 from repro.train.resume import latest_persisted_iteration
 
 BACKENDS = [
-    "memory", "sharded", "dedup", "async", "async-dedup",
-    "tiered", "async-tiered",
+    "memory", "sharded", "sharded-compacting", "dedup", "async",
+    "async-dedup", "tiered", "async-tiered",
 ]
 
 
@@ -46,6 +48,13 @@ def store(request, tmp_path) -> CheckpointBackend:
         backend = InMemoryKVStore()
     elif kind == "sharded":
         backend = ShardedDiskKVStore(str(tmp_path / "sharded"))
+    elif kind == "sharded-compacting":
+        # Compacts once the journal holds 1.5x its live keys: the
+        # contract must hold with rewrites interleaved among its appends.
+        backend = ShardedDiskKVStore(
+            str(tmp_path / "sharded-compacting"),
+            compact_min_records=1, compact_garbage_ratio=1.5,
+        )
     elif kind == "dedup":
         backend = DedupBackend(str(tmp_path / "dedup"))
     elif kind == "async-dedup":
@@ -493,6 +502,97 @@ class TestShardedConcurrency:
             f"t{index}/{i}" for index in range(threads) for i in range(per_thread)
         )
         assert all(record["chunks"] == [digest] * 8 for record in records)
+
+    def test_concurrent_batches_and_deletes_fold_to_the_acked_state(self, tmp_path):
+        # Batched puts and deletes from several threads: no batch may
+        # interleave with another's deferred records or unlinks, so the
+        # final index matches each thread's last round and no payload
+        # file outlives its key.
+        store = ShardedDiskKVStore(str(tmp_path), compact_min_records=16)
+        rounds = 30
+
+        def worker(index):
+            keys = [f"w{index}/k{i}" for i in range(8)]
+            for stamp in range(rounds):
+                store.put_many([
+                    (key, {"x": np.full(4, float(stamp))}, stamp, 0) for key in keys
+                ])
+                store.delete_many(keys[stamp % 8:][:3])
+
+        assert run_threads(worker, 4) == []
+        assert store.compactions > 0
+        last = rounds - 1
+        deleted = {f"k{i}" for i in range(last % 8, 8)}
+        expected = sorted(
+            f"w{index}/k{i}" for index in range(4) for i in range(8)
+            if f"k{i}" not in deleted
+        )
+        for view in (store, ShardedDiskKVStore(str(tmp_path))):
+            assert view.keys() == expected
+            for key in expected:
+                assert view.stamp_of(key) == last
+                assert np.array_equal(view.get(key)["x"], np.full(4, float(last)))
+        payloads = glob.glob(os.path.join(str(tmp_path), "shards", "*", "*"))
+        assert len(payloads) == len(expected)
+
+    def test_read_retries_after_concurrent_overwrite_unlinks_its_file(self, tmp_path):
+        # A read looks up the entry's version, then opens it outside the
+        # store lock.  An overwrite landing in between unlinks that
+        # version; the read must look up again and serve the new one.
+        store = ShardedDiskKVStore(str(tmp_path))
+        store.put("k", {"x": np.ones(4)}, stamp=1)
+        lookup = store._meta
+        seen = []
+
+        def racing_lookup(key):
+            meta = lookup(key)
+            if not seen:
+                store.put("k", {"x": np.zeros(4)}, stamp=2)
+            seen.append(meta[0])
+            return meta
+
+        store._meta = racing_lookup
+        assert np.array_equal(store.get("k")["x"], np.zeros(4))
+        assert seen == [1, 2]
+
+    def test_read_raises_typed_error_when_overwrites_keep_winning(self, tmp_path):
+        store = ShardedDiskKVStore(str(tmp_path))
+        store.put("k", {"x": np.ones(4)}, stamp=0)
+        lookup = store._meta
+
+        def racing_lookup(key):
+            meta = lookup(key)
+            store.put("k", {"x": np.ones(4)}, stamp=meta[0] + 1)
+            return meta
+
+        store._meta = racing_lookup
+        with pytest.raises(KVStoreError):
+            store.get("k")
+        del store._meta
+        assert store.stamp_of("k") == 2
+        assert np.array_equal(store.get("k")["x"], np.ones(4))
+
+    def test_tiered_upload_workers_share_one_remote_store(self, tmp_path):
+        # The tiered backend's two upload threads put into one remote
+        # sharded store outside the tier's own lock; every upload must
+        # land, compaction included.
+        store = open_tiered_root(str(tmp_path), upload_workers=2)
+        expected = {}
+        for stamp in range(6):
+            items = [
+                (f"k{i}", {"x": np.full(8, float(100 * stamp + i))}, stamp, 0)
+                for i in range(64)
+            ]
+            store.put_many(items)
+            expected.update({key: (entry["x"], at) for key, entry, at, _ in items})
+        store.flush()
+        store.close()
+        remote = ShardedDiskKVStore(str(tmp_path / "remote"))
+        assert remote.journal_records < 6 * 64  # it compacted
+        assert remote.keys() == sorted(expected)
+        for key, (value, stamp) in expected.items():
+            assert remote.stamp_of(key) == stamp, key
+            assert np.array_equal(remote.get(key)["x"], value), key
 
 
 class TestAsyncPipeline:

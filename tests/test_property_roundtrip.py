@@ -31,6 +31,7 @@ from repro.testing import (
 )
 from repro.ckpt import (
     AsyncWriteBackend,
+    DedupBackend,
     InMemoryKVStore,
     ParallelRestorer,
     PayloadFrames,
@@ -168,10 +169,12 @@ def make_backend_for(kind: str, root):
         return InMemoryKVStore()
     if kind == "sharded":
         return ShardedDiskKVStore(str(root))
+    if kind == "dedup":
+        return DedupBackend(str(root))
     return AsyncWriteBackend(ShardedDiskKVStore(str(root)))
 
 
-BACKEND_KINDS = ["memory", "sharded", "async"]
+BACKEND_KINDS = ["memory", "sharded", "dedup", "async"]
 TOPOLOGY_GRIDS = [((4, 2), (2, 4)), ((2, 2), (1, 4)), ((1, 4), (4, 1))]
 
 

@@ -226,7 +226,7 @@ class TestReshardedResumeBitExact:
         manager.flush()
         return model, optimizer, manager
 
-    @pytest.mark.parametrize("backend", ["sharded"])
+    @pytest.mark.parametrize("backend", ["sharded", "dedup", "tiered"])
     @pytest.mark.parametrize("grids", GRID_PAIRS)
     def test_restore_is_bit_exact_across_topologies(self, tmp_path, backend, grids):
         source = grid_topology(*grids[0], gpus_per_node=2)

@@ -1,7 +1,7 @@
 """Retention / recoverability auditing tests.
 
 The auditor and pruning paths are exercised across every backend —
-memory, flat disk, sharded journal, dedup, and the async pipeline —
+memory, sharded journal, dedup, and the async pipeline —
 plus the dedup backend's refcount semantics: pruning decrements chunk
 refs, and the optional gc pass physically reclaims what the prune
 orphaned.
