@@ -87,7 +87,7 @@ TIERED_SEAMS: Tuple[str, ...] = DEDUP_SEAMS + (
     "tier:appended",
     "tier:compact-tmp-written",
     "upload:remote-durable",
-    "payload:tmp-written",
+    "payload:mid-write",
     "payload:durable",
     "journal:mid-append",
     "journal:appended",

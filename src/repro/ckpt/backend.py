@@ -23,14 +23,6 @@ Contract highlights
 * ``flush`` is a write barrier: after it returns, every previously
   accepted ``put`` is durable (synchronous backends are trivially
   flushed).  ``delete`` removes a key outright.
-
-Key escaping
-------------
-Keys contain ``/`` and ``:`` (parameter paths, entry-key prefixes); the
-file-backed stores need them as file names.  :func:`escape_key` is a
-reversible percent-encoding — injective, so distinct keys can never
-collide on disk (the historical ``replace("/", "__")`` scheme mapped
-``a/b`` and ``a__b`` to the same file).
 """
 
 from __future__ import annotations
@@ -50,38 +42,6 @@ from .serializer import (
 #: Payload forms the write path accepts: materialized bytes or the
 #: zero-copy frame rope.  ``len(payload)`` is the size for both.
 Payload = Union[bytes, PayloadFrames]
-
-# Characters stored literally in escaped file names; everything else
-# (including "%" itself, so the encoding stays injective) is written as
-# %XX per UTF-8 byte.
-_SAFE = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789.-_"
-)
-
-
-def escape_key(key: str) -> str:
-    """Encode ``key`` into a filesystem-safe name, reversibly."""
-    out: List[str] = []
-    for char in key:
-        if char in _SAFE and char != "%":
-            out.append(char)
-        else:
-            out.extend(f"%{byte:02X}" for byte in char.encode("utf-8"))
-    return "".join(out)
-
-
-def unescape_key(name: str) -> str:
-    """Invert :func:`escape_key`."""
-    data = bytearray()
-    i = 0
-    while i < len(name):
-        if name[i] == "%":
-            data.append(int(name[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            data.append(ord(name[i]))
-            i += 1
-    return data.decode("utf-8")
 
 
 class KVStoreError(KeyError):
@@ -143,10 +103,11 @@ class CheckpointBackend(abc.ABC):
 
         ``payload`` may be materialized ``bytes`` or a zero-copy
         :class:`~repro.ckpt.serializer.PayloadFrames` rope; disk-backed
-        stores write frames with one buffered ``writelines`` (see
-        :func:`~repro.ckpt.serializer.write_payload`) and stores that
-        must *retain* bytes materialize exactly once.  Frames alias the
-        caller's arrays and must be consumed before returning.
+        stores hand the frames to the kernel without concatenating them
+        (the sharded store gathers a batch into ``os.writev`` calls) and
+        stores that must *retain* bytes materialize exactly once.
+        Frames alias the caller's arrays and must be consumed before the
+        put (or the batched put it belongs to) returns.
         """
 
     @abc.abstractmethod

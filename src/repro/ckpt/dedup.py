@@ -179,7 +179,7 @@ class ChunkStore:
     """SHA-256-addressed immutable chunks with a refcount journal.
 
     Layout: ``<root>/objects/<hh>/<sha256 hex>`` (two-hex-char shard
-    prefix, like the sharded store's payload layout) plus
+    prefix keeps directories small) plus
     ``<root>/refs.jsonl`` holding ``{"op": "ref", "inc": {...},
     "dec": {...}}`` records.  Refcounts are replayed on open; a count
     never goes below zero in memory (an underflow is recorded for fsck

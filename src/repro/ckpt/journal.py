@@ -152,21 +152,14 @@ def _is_clean_address(value: object) -> bool:
     return isinstance(value, str) and value.isascii() and value.isalnum()
 
 
-def _put_line(
-    key: str,
-    stamp: int,
-    nbytes: int,
-    gen: int = 0,
-    chunks: Optional[Sequence[str]] = None,
-) -> str:
-    """One ``{"op": "put", ...}`` line (newline included).
-
-    ``gen`` is emitted only when non-zero and ``chunks`` only when given.
-    Chunk digests must be clean addresses (checked by the caller).
-    """
+def _put_line(key: str, stamp: int, nbytes: int, pack: Optional[int] = None,
+              off: int = 0, chunks: Optional[Sequence[str]] = None) -> str:
+    """One ``{"op": "put", ...}`` line (newline included); ``pack``/``off``
+    and ``chunks`` only when given.  Chunk digests must be clean
+    addresses (checked by the caller)."""
     line = f'{{"op": "put", "key": {json_string(key)}, "stamp": {stamp}, "nbytes": {nbytes}'
-    if gen:
-        line += f', "gen": {gen}'
+    if pack is not None:
+        line += f', "pack": {pack}, "off": {off}'
     if chunks is not None:
         if chunks:
             line += ', "chunks": ["' + '", "'.join(chunks) + '"]'
@@ -192,26 +185,24 @@ def _fast_put(record: Mapping[str, object]) -> Optional[str]:
     key = record.get("key")
     stamp = record.get("stamp")
     nbytes = record.get("nbytes")
-    gen = record.get("gen", 0)
+    located = "pack" in record or "off" in record
+    pack = record.get("pack")
+    off = record.get("off", 0)
     chunks = record.get("chunks")
     if not isinstance(key, str):
         return None
-    if "gen" in record and gen == 0:
-        # _put_line omits a zero gen; json.dumps would keep the explicit
-        # key, so this shape must take the fallback to stay equivalent.
+    ints = (stamp, nbytes, pack, off) if located else (stamp, nbytes)
+    if any(type(value) is not int for value in ints):
         return None
-    for value in (stamp, nbytes, gen):
-        if type(value) is not int:
-            return None
     if chunks is not None:
         if not isinstance(chunks, (list, tuple)) or not all(
             _is_clean_address(chunk) for chunk in chunks
         ):
             return None
-    expected = 4 + ("gen" in record) + (chunks is not None)
+    expected = 4 + 2 * located + (chunks is not None)
     if len(record) != expected:
         return None
-    return _put_line(key, stamp, nbytes, gen=gen, chunks=chunks)
+    return _put_line(key, stamp, nbytes, pack=pack, off=off, chunks=chunks)
 
 
 def _fast_del(record: Mapping[str, object]) -> Optional[str]:

@@ -7,7 +7,7 @@ entry key, at least the newest stored version — and delete only versions
 that have been fully superseded.
 
 Every persist backend keeps exactly one (the latest) version per key —
-:class:`~repro.ckpt.sharded.ShardedDiskKVStore` unlinks a superseded
+:class:`~repro.ckpt.sharded.ShardedDiskKVStore` reclaims a superseded
 version once its successor is journaled — so per-key supersession is
 implicit; what
 remains is bounding *metadata* growth and answering the operational

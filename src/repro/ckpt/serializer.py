@@ -447,18 +447,6 @@ class PayloadFrames:
         )
 
 
-def write_payload(handle, payload: Union[bytes, PayloadFrames]) -> None:
-    """Write a payload to a binary file handle without concatenating.
-
-    Frames go out in a single buffered ``writelines``; plain bytes in
-    one ``write``.  The helper every disk-backed store routes through.
-    """
-    if isinstance(payload, PayloadFrames):
-        handle.writelines(payload.frames)
-    else:
-        handle.write(payload)
-
-
 def payload_bytes(payload: Union[bytes, bytearray, memoryview, PayloadFrames]) -> bytes:
     """Materialize any accepted payload form as immutable bytes."""
     if isinstance(payload, PayloadFrames):

@@ -95,8 +95,8 @@ ARRAY_DTYPES = (
     "int64", "int32", "int8", "uint8", "bool",
 )
 
-#: Characters that stress key escaping (path separators, the escape
-#: character itself, unicode, spaces).
+#: Characters that stress key encoding (path separators, punctuation,
+#: non-ASCII, spaces).
 _KEY_ALPHABET = "abzAZ09._-/:%+ é漢"
 
 

@@ -26,10 +26,8 @@ from repro.ckpt import (
     InMemoryKVStore,
     KVStoreError,
     ShardedDiskKVStore,
-    escape_key,
     make_backend,
     open_tiered_root,
-    unescape_key,
 )
 from repro.ckpt.journal import Journal
 from repro.obs.metrics import get_registry
@@ -264,21 +262,6 @@ class TestConcurrentReaders:
             ParallelRestorer(workers=0)
 
 
-class TestEscaping:
-    @pytest.mark.parametrize(
-        "key",
-        ["a/b", "a__b", "expert:l0:e1:blocks.1.moe/experts.1.fc_in.weight",
-         "meta:iteration", "100%", "naïve/κey"],
-    )
-    def test_roundtrip(self, key):
-        assert unescape_key(escape_key(key)) == key
-
-    def test_injective_on_historic_collision(self):
-        assert escape_key("a/b") != escape_key("a__b")
-        assert "/" not in escape_key("a/b")
-        assert ":" not in escape_key("meta:iteration")
-
-
 class TestPersistence:
     @pytest.mark.parametrize("kind", ["sharded", "dedup", "tiered"])
     def test_survives_reopen(self, kind, tmp_path):
@@ -383,18 +366,18 @@ class TestShardedJournal:
         assert reopened.journal_records < 200
 
     def test_torn_payload_overwrite_preserves_old_version(self, tmp_path, monkeypatch):
-        # Payload files are replaced atomically: a crash between writing
-        # the tmp file and renaming it must leave the journaled version
-        # intact (an in-place overwrite would have corrupted it).
+        # An overwrite goes to a fresh pack file: a write error part-way
+        # through it must leave the journaled version intact (an
+        # in-place overwrite would have corrupted it).
         import os as os_mod
 
         store = ShardedDiskKVStore(str(tmp_path))
         store.put("k", {"x": np.ones(2)}, stamp=1)
 
-        def crash_mid_replace(src, dst):
-            raise OSError("crash before rename")
+        def failing_writev(fd, buffers):
+            raise OSError("device error mid-write")
 
-        monkeypatch.setattr(os_mod, "replace", crash_mid_replace)
+        monkeypatch.setattr(os_mod, "writev", failing_writev)
         with pytest.raises(OSError):
             store.put("k", {"x": np.zeros(2)}, stamp=2)
         monkeypatch.undo()
@@ -413,8 +396,15 @@ class TestShardedJournal:
     def test_indexed_key_with_missing_payload_raises_typed_error(self, tmp_path):
         store = ShardedDiskKVStore(str(tmp_path))
         store.put("k", {"x": np.ones(1)}, stamp=0)
-        os.remove(store._path("k", 0))
+        os.remove(store._pack_path(store._meta("k").pack))
         with pytest.raises(KVStoreError):
+            store.get("k")
+
+    def test_truncated_pack_raises_typed_error(self, tmp_path):
+        store = ShardedDiskKVStore(str(tmp_path))
+        store.put("k", {"x": np.ones(8)}, stamp=0)
+        os.truncate(store._pack_path(store._meta("k").pack), 10)
+        with pytest.raises(KVStoreError, match="truncated"):
             store.get("k")
 
     @pytest.mark.parametrize("marker", ["index.json", "entries"])
@@ -430,7 +420,21 @@ class TestShardedJournal:
             ShardedDiskKVStore(str(tmp_path))
         with pytest.raises(KVStoreError, match="flat-store layout"):
             latest_persisted_iteration(str(tmp_path))
-        assert not (tmp_path / "shards").exists()
+        assert not (tmp_path / "packs").exists()
+
+    def test_file_per_entry_layout_root_is_rejected(self, tmp_path):
+        # A root of the retired file-per-entry layout (shards/<hh>/
+        # payload files, put records without pack/off) is refused by
+        # name rather than replayed into a broken index.
+        (tmp_path / "shards" / "ab").mkdir(parents=True)
+        (tmp_path / "index.jsonl").write_text(
+            '{"op": "put", "key": "meta:iteration", "stamp": 4, "nbytes": 9}\n'
+        )
+        with pytest.raises(KVStoreError, match=r"file-per-entry layout \(shards/\)"):
+            ShardedDiskKVStore(str(tmp_path))
+        with pytest.raises(KVStoreError, match="file-per-entry layout"):
+            latest_persisted_iteration(str(tmp_path))
+        assert not (tmp_path / "packs").exists()
 
 
 def run_threads(target, count: int) -> list:
@@ -506,8 +510,8 @@ class TestShardedConcurrency:
     def test_concurrent_batches_and_deletes_fold_to_the_acked_state(self, tmp_path):
         # Batched puts and deletes from several threads: no batch may
         # interleave with another's deferred records or unlinks, so the
-        # final index matches each thread's last round and no payload
-        # file outlives its key.
+        # final index matches each thread's last round and no pack file
+        # outlives its last live entry.
         store = ShardedDiskKVStore(str(tmp_path), compact_min_records=16)
         rounds = 30
 
@@ -532,8 +536,8 @@ class TestShardedConcurrency:
             for key in expected:
                 assert view.stamp_of(key) == last
                 assert np.array_equal(view.get(key)["x"], np.full(4, float(last)))
-        payloads = glob.glob(os.path.join(str(tmp_path), "shards", "*", "*"))
-        assert len(payloads) == len(expected)
+        packs = {os.path.basename(path) for path in glob.glob(str(tmp_path / "packs" / "*"))}
+        assert packs == {f"{store._meta(key).pack}.pack" for key in expected}
 
     def test_read_retries_after_concurrent_overwrite_unlinks_its_file(self, tmp_path):
         # A read looks up the entry's version, then opens it outside the
@@ -800,6 +804,42 @@ class TestManagerIntegration:
         # manifest byte accounting matches the inner store's meters
         assert manager.disk_store.inner.bytes_written == manager.disk_store.bytes_written
         assert manifest.persist_bytes() <= manager.disk_store.bytes_written
+        manager.disk_store.close()
+
+    def test_pec_checkpoint_creates_few_files_on_the_sharded_store(self, tmp_path):
+        # A PEC checkpoint writes ~80 entries; the sharded store packs
+        # them by the pack each predecessor lives in, so a checkpoint
+        # creates a handful of files, not one per entry.
+        from repro.core import MoCConfig, MoCCheckpointManager, PECConfig, TwoLevelConfig
+        from repro.models import Adam, MoEModelConfig, MoETransformerLM
+        from repro.testing import train_steps
+        from repro.train.data import MarkovCorpus
+
+        model = MoETransformerLM(MoEModelConfig(
+            vocab_size=32, max_seq_len=12, dim=16, num_layers=4, num_heads=2,
+            num_experts=16, top_k=2, seed=0,
+        ))
+        optimizer = Adam(model.named_parameters(), lr=1e-2)
+        corpus = MarkovCorpus(vocab_size=32, seq_len=12, seed=1)
+        manager = MoCCheckpointManager(
+            model, optimizer,
+            MoCConfig(pec=PECConfig(k_snapshot=4, k_persist=2),
+                      two_level=TwoLevelConfig(checkpoint_interval=1)),
+            disk_root=str(tmp_path), backend="sharded",
+        )
+        manager.save_initial(0)
+
+        def files():
+            return {os.path.join(d, name) for d, _, names in os.walk(tmp_path)
+                    for name in names}
+
+        for iteration in range(1, 11):
+            train_steps(model, optimizer, corpus, 1, start=iteration)
+            manager.note_model_routing()
+            before = files()
+            manifest = manager.checkpoint(iteration)
+            assert len(manifest.persist_entries) > 40
+            assert len(files() - before) <= 8, iteration
         manager.disk_store.close()
 
     def test_resume_rejects_memory_backend(self, tmp_path):

@@ -10,7 +10,7 @@ survives — and reopens the directory, asserting what replay recovers:
 * every *acknowledged* operation (put/delete that returned) is durable
   with exact bytes, stamp and size metadata;
 * the in-flight operation resolves to a complete version — metadata
-  and payload always agree (versioned payload files);
+  and payload always agree (write-once pack files);
 * torn journal tails are truncated so post-crash appends survive the
   *next* replay;
 * a crash mid-compaction never loses state.
@@ -74,7 +74,7 @@ def assert_consistent(store, expected: dict) -> None:
 class TestMidPut:
     """Kill the process inside a single put, at every window."""
 
-    @pytest.mark.parametrize("point", ["payload:tmp-written", "payload:durable"])
+    @pytest.mark.parametrize("point", ["payload:mid-write", "payload:durable"])
     def test_new_key_crash_leaves_acked_prefix(self, tmp_path, point):
         store = open_store(tmp_path)
         store.put("a", entry(1.0), stamp=1)
@@ -88,13 +88,13 @@ class TestMidPut:
             reopened, {"a": (np.full(4, 1.0), 1), "b": (np.full(4, 2.0), 2)}
         )
 
-    @pytest.mark.parametrize("point", ["payload:tmp-written", "payload:durable"])
+    @pytest.mark.parametrize("point", ["payload:mid-write", "payload:durable"])
     def test_sharded_overwrite_crash_serves_old_version_exactly(
         self, tmp_path, point
     ):
-        """Versioned payload files: a torn overwrite can never pair new
+        """Write-once pack files: a torn overwrite can never pair new
         bytes with old metadata — the journal still references the old
-        file, which the overwrite did not touch."""
+        pack, which the overwrite did not touch."""
         store = open_store(tmp_path)
         store.put("k", entry(1.0, size=4), stamp=1)
         crash_at(store, point)
@@ -113,7 +113,7 @@ class TestMidPut:
         """After any mid-put crash, every indexed key must be readable —
         no dangling index entries pointing at missing payloads."""
         for nth, point in enumerate(
-            ["payload:tmp-written", "payload:durable"], start=1
+            ["payload:mid-write", "payload:durable"], start=1
         ):
             root = tmp_path / f"case{nth}"
             store = open_store(root)
@@ -165,7 +165,9 @@ class TestMidIndexAppend:
         prefix — that path is covered in the contract suite.)"""
         store = open_store(tmp_path)
         store.put("old", entry(1.0), stamp=1)
-        crash_at(store, "payload:durable", nth=3)
+        # The batch writes two packs (the overwrite of "old", the new
+        # keys); die after the second, before the journal append.
+        crash_at(store, "payload:durable", nth=2)
         batch = [("old", entry(7.0), 2, 0)] + [
             (f"k{i}", entry(float(i)), 2, 0) for i in range(4)
         ]
@@ -246,9 +248,9 @@ class TestMidIndexAppend:
 
     def test_same_stamp_overwrite_crash_preserves_acked_version(self, tmp_path):
         """Regression: re-putting a key at the SAME stamp must not
-        replace the referenced payload file in place — the generation
-        suffix gives the new bytes a fresh file, so a crash before the
-        journal append leaves the acknowledged version intact."""
+        replace the referenced payload in place — the new bytes go to a
+        fresh pack, so a crash before the journal append leaves the
+        acknowledged version intact."""
         store = open_store(tmp_path)
         store.put("k", entry(1.0, size=4), stamp=5)
         crash_at(store, "payload:durable")
@@ -263,38 +265,121 @@ class TestMidIndexAppend:
             .serialize_entry(entry(1.0, size=4))
         )
 
-    def test_versioned_names_cannot_collide_across_keys(self, tmp_path):
-        """Regression: the version suffix uses '@' (never produced by
-        escape_key), so key 'k' at stamp 5 after same-stamp overwrites
-        and key 'k.5' at stamp 3 map to distinct files even when their
-        hash shards coincide."""
-        store = open_store(tmp_path, shard_width=1)
-        assert store._path("k", 5, 3) != store._path("k.5", 3, 0).replace(
-            store._shard_of("k.5"), store._shard_of("k")
-        )
-        store.put("k", entry(1.0), stamp=5)
-        store.put("k", entry(2.0), stamp=5)
-        store.put("k", entry(3.0), stamp=5)  # gen 2
-        store.put("k.5", entry(9.0), stamp=2)
-        reopened = open_store(tmp_path, shard_width=1)
-        assert np.array_equal(reopened.get("k")["x"], np.full(4, 3.0))
-        assert np.array_equal(reopened.get("k.5")["x"], np.full(4, 9.0))
 
-    def test_same_stamp_overwrite_completes_and_reclaims_old_file(self, tmp_path):
+def pack_files(root) -> set:
+    return set(os.listdir(os.path.join(str(root), "packs")))
+
+
+def referenced_packs(store) -> set:
+    return {f"{store._meta(key).pack}.pack" for key in store.keys()}
+
+
+class TestPackLayout:
+    """Pack files die whole, leak only on a crash, and gc reclaims."""
+
+    def test_same_stamp_overwrite_completes_and_reclaims_old_pack(self, tmp_path):
         store = open_store(tmp_path)
         store.put("k", entry(1.0), stamp=5)
         store.put("k", entry(2.0), stamp=5)
         store.put("k", entry(3.0), stamp=5)
         reopened = open_store(tmp_path)
         assert np.array_equal(reopened.get("k")["x"], np.full(4, 3.0))
-        # superseded generations were unlinked once their successor's
-        # record became durable
-        shard_files = [
-            name
-            for _, _, names in os.walk(str(tmp_path / "shards"))
-            for name in names
-        ]
-        assert len(shard_files) == 1
+        # each superseded pack was unlinked once its successor's record
+        # was durable
+        assert pack_files(tmp_path) == referenced_packs(reopened)
+        assert len(pack_files(tmp_path)) == 1
+
+    def test_pack_is_unlinked_once_its_last_entry_is_superseded(self, tmp_path):
+        store = open_store(tmp_path)
+        store.put_many([(key, entry(1.0), 1, 0) for key in "abc"])
+        (batch_pack,) = pack_files(tmp_path)
+        store.put("a", entry(2.0), stamp=2)
+        store.delete("b")
+        assert batch_pack in pack_files(tmp_path)  # "c" still lives there
+        # the last supersession dies after its append: the emptied pack
+        # leaks, and only gc reclaims it
+        crash_at(store, "journal:appended")
+        with pytest.raises(CrashInjected):
+            store.put("c", entry(2.0), stamp=2)
+        reopened = open_store(tmp_path)
+        assert_consistent(
+            reopened, {"a": (np.full(4, 2.0), 2), "c": (np.full(4, 2.0), 2)}
+        )
+        assert batch_pack in pack_files(tmp_path)
+        assert batch_pack not in referenced_packs(reopened)
+        reopened.gc()
+        assert pack_files(tmp_path) == referenced_packs(reopened)
+        # without a crash the emptied packs go at once; "a" and "c" are
+        # regrouped by the pack each came from
+        before = pack_files(tmp_path)
+        reopened.put_many([(key, entry(3.0), 3, 0) for key in "ac"])
+        assert pack_files(tmp_path) == referenced_packs(reopened)
+        assert not pack_files(tmp_path) & before
+        assert len(pack_files(tmp_path)) == 2
+
+    def test_pack_numbers_skip_every_pack_a_record_names(self, tmp_path):
+        """Regression: numbering past the highest pack *file* alone
+        would reuse the number of an unlinked pack whose records are
+        still in the journal, and replay would fold two packs into one."""
+        store = open_store(tmp_path)
+        store.put("k", entry(1.0), stamp=1)
+        store.put("k", entry(2.0), stamp=2)
+        store.delete("k")
+        assert pack_files(tmp_path) == set()
+        reopened = open_store(tmp_path)
+        reopened.put("x", entry(3.0), stamp=3)
+        assert reopened._meta("x").pack == 2
+        assert_consistent(open_store(tmp_path), {"x": (np.full(4, 3.0), 3)})
+
+    @pytest.mark.parametrize("point", ["payload:durable", "journal:mid-append",
+                                       "journal:appended"])
+    def test_crash_around_compaction_append_leaks_only(self, tmp_path, point):
+        """Compaction copies live entries into a new pack, appends their
+        records, then unlinks the sources.  Dying before the append
+        leaks the new pack; dying after it leaks the sources."""
+        store = open_store(tmp_path, compact_garbage_ratio=1.5)
+        store.put_many([(f"k{i}", entry(float(i)), 0, 0) for i in range(8)])
+        expected = {f"k{i}": (np.full(4, float(i)), 0) for i in range(8)}
+        for i in range(4):
+            store.put(f"k{i}", entry(10.0 + i), stamp=1)
+            expected[f"k{i}"] = (np.full(4, 10.0 + i), 1)
+        # 12 entries' worth of packs for 8 live: one more overwrite
+        # crosses 1.5x and compacts the first pack's 3 live entries.
+        crash_at(store, point, nth=2)
+        with pytest.raises(CrashInjected):
+            store.put("k4", entry(14.0), stamp=1)
+        expected["k4"] = (np.full(4, 14.0), 1)  # its own append completed
+        reopened = open_store(tmp_path, compact_garbage_ratio=1.5)
+        assert_consistent(reopened, expected)
+        # A torn append may commit a prefix of the moved entries, which
+        # leaves both packs referenced and nothing leaked.
+        leaked = pack_files(tmp_path) - referenced_packs(reopened)
+        assert len(leaked) == (point != "journal:mid-append")
+        assert reopened.gc() > 0
+        assert pack_files(tmp_path) == referenced_packs(reopened)
+        assert_consistent(open_store(tmp_path), expected)
+
+    def test_gc_removes_orphans_and_leaves_one_pack_per_live_group(self, tmp_path):
+        store = open_store(tmp_path)
+        store.put_many([(f"a{i}", entry(1.0), 1, 0) for i in range(4)])
+        store.put_many([(f"b{i}", entry(2.0), 1, 0) for i in range(4)])
+        store.put("a0", entry(3.0), stamp=2)  # group a now holds dead bytes
+        crash_at(store, "payload:mid-write")
+        with pytest.raises(CrashInjected):
+            store.put_many([(f"c{i}", entry(4.0), 3, 0) for i in range(4)])
+        reopened = open_store(tmp_path)
+        expected = {f"a{i}": (np.full(4, 1.0), 1) for i in range(1, 4)}
+        expected.update({f"b{i}": (np.full(4, 2.0), 1) for i in range(4)})
+        expected["a0"] = (np.full(4, 3.0), 2)
+        assert_consistent(reopened, expected)
+        assert len(pack_files(tmp_path)) == 4  # a, b, a0 and the torn orphan
+        assert reopened.gc() > 0
+        # a1..a3 moved to a pack of their own; b and a0 untouched
+        assert pack_files(tmp_path) == referenced_packs(reopened)
+        assert len(pack_files(tmp_path)) == 3
+        assert len({reopened._meta(f"a{i}").pack for i in range(1, 4)}) == 1
+        assert reopened.gc() == 0
+        assert_consistent(open_store(tmp_path), expected)
 
 class TestMidCompaction:
     def make_compacting_store(self, root):
@@ -342,7 +427,7 @@ class TestMidDelete:
         store.put("keep", entry(1.0), stamp=1)
         store.put("gone", entry(2.0), stamp=1)
         store.delete("gone")
-        crash_at(store, "payload:tmp-written")
+        crash_at(store, "payload:mid-write")
         with pytest.raises(CrashInjected):
             store.put("late", entry(3.0), stamp=2)
         reopened = open_store(tmp_path)
@@ -741,7 +826,7 @@ class TestTieredCrash:
     #: record, claim durable.
     DURABLE_POINTS = [
         "manifest:appended",
-        "payload:tmp-written",
+        "payload:mid-write",
         "payload:durable",
         "upload:remote-durable",
         "tier:mid-append",

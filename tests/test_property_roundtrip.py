@@ -6,7 +6,8 @@ failure reproduces from the printed seed alone.  Covered properties:
 
 * serializer: arbitrary entries survive serialize→deserialize bit-exact
   (dtype, shape and bytes);
-* key escaping: arbitrary unicode keys round-trip and never collide;
+* pack store: seeded puts, batches, deletes, reopens and gc agree with a
+  dict model and leave no unreferenced pack; short writes resume exactly;
 * manifest: entry-key construction parses back to the same identity;
 * codec: float fields round-trip within the configured precision,
   non-float fields bit-exact, shapes/keys always preserved;
@@ -16,6 +17,8 @@ failure reproduces from the printed seed alone.  Covered properties:
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -38,11 +41,10 @@ from repro.ckpt import (
     ShardedDiskKVStore,
     deserialize_entry,
     entry_digest,
-    escape_key,
     serialize_entry,
     serialize_entry_frames,
-    unescape_key,
 )
+from repro.ckpt import sharded
 from repro.ckpt.manifest import expert_entry_key, parse_entry_key
 from repro.core import grid_topology, plan_reshard, reshard_read_requests
 from repro.models.serial import ExpertKey
@@ -112,22 +114,95 @@ class TestSerializerProperties:
         assert entry_digest(mutated) != entry_digest(a), f"seed={seed}"
 
 
-class TestEscapingProperties:
+class TestPackStoreProperties:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_keys_roundtrip(self, seed):
+    def test_random_operations_match_a_dict_model(self, tmp_path, seed):
+        """Without a crash no pack leaks: every pack file is referenced,
+        the tracked packs stay within ``compact_garbage_ratio`` of the
+        live bytes, and after gc the packs hold exactly the live bytes."""
         rng = seeded_rng(seed)
-        for _ in range(20):
-            key = random_field_name(rng, max_len=24)
-            escaped = escape_key(key)
-            assert unescape_key(escaped) == key, f"seed={seed} key={key!r}"
-            assert "/" not in escaped and ":" not in escaped
+        ratio = float(rng.choice([1.5, 2.0, 4.0]))
+        packs_dir = os.path.join(str(tmp_path), "packs")
+
+        def reopen():
+            return ShardedDiskKVStore(
+                str(tmp_path), compact_min_records=8, compact_garbage_ratio=ratio)
+
+        def pack_bytes():
+            return sum(os.path.getsize(os.path.join(packs_dir, name))
+                       for name in os.listdir(packs_dir))
+
+        store, model = reopen(), {}
+        keys = [f"layer{i % 3}/k{i}" for i in range(12)]
+        for stamp in range(60):
+            op = int(rng.integers(6))
+            if op <= 2:
+                batch = map(str, rng.choice(keys, size=int(rng.integers(1, 9)), replace=False))
+                sizes = {key: int(rng.integers(1, 64)) for key in batch}
+                items = [(key, {"x": np.full(size, float(stamp))}, stamp, 0)
+                         for key, size in sizes.items()]
+                if op == 0:
+                    store.put(*items[0][:3])
+                    sizes = dict(list(sizes.items())[:1])
+                else:
+                    store.put_many(items)
+                model.update({key: (size, stamp) for key, size in sizes.items()})
+            elif op == 3 and model:
+                doomed = [str(key) for key in rng.choice(
+                    sorted(model), size=int(rng.integers(1, len(model) + 1)), replace=False)]
+                store.delete_many(doomed)
+                for key in doomed:
+                    del model[key]
+            elif op == 4:
+                store = reopen()
+            elif op == 5:
+                store.gc()
+                assert pack_bytes() == store.total_bytes(), f"seed={seed}"
+            assert set(os.listdir(packs_dir)) == {
+                f"{store._meta(key).pack}.pack" for key in store.keys()
+            }, f"seed={seed} stamp={stamp}"
+            extents = sum(info.extent for info in store._packs.values())
+            assert extents <= ratio * store.total_bytes(), f"seed={seed} stamp={stamp}"
+        for view in (store, reopen()):
+            assert view.keys() == sorted(model), f"seed={seed}"
+            for key, (size, stamp) in model.items():
+                assert view.stamp_of(key) == stamp
+                assert np.array_equal(view.get(key)["x"], np.full(size, float(stamp)))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_escaping_is_injective(self, seed):
+    def test_short_writes_and_copies_resume_exactly(self, tmp_path, monkeypatch, seed):
+        """``os.writev`` and ``os.copy_file_range`` may move fewer bytes
+        than asked; the pack writer resumes where each call stopped and
+        passes at most ``IOV_MAX`` buffers per call."""
         rng = seeded_rng(seed)
-        keys = {random_field_name(rng, max_len=16) for _ in range(50)}
-        escaped = {escape_key(key) for key in keys}
-        assert len(escaped) == len(keys), f"seed={seed}"
+        writev, copy_file_range = os.writev, os.copy_file_range
+
+        def short_writev(fd, buffers):
+            assert 0 < len(buffers) <= sharded._IOV_MAX
+            limit = int(rng.integers(1, sum(map(len, buffers)) + 1))
+            prefix = []
+            for buffer in buffers:
+                prefix.append(memoryview(buffer)[:limit])
+                limit -= len(prefix[-1])
+                if limit <= 0:
+                    break
+            return writev(fd, prefix)
+
+        def short_copy(src, dst, count, offset_src=None, offset_dst=None):
+            return copy_file_range(src, dst, int(rng.integers(1, count + 1)),
+                                   offset_src, offset_dst)
+
+        monkeypatch.setattr(sharded, "_IOV_MAX", 3)
+        monkeypatch.setattr(os, "writev", short_writev)
+        monkeypatch.setattr(os, "copy_file_range", short_copy)
+        store = ShardedDiskKVStore(str(tmp_path))
+        entries = {f"k{i}": random_entry(rng) for i in range(6)}
+        store.put_many([(key, entry, 1, 0) for key, entry in entries.items()])
+        store.put("k0", entries["k0"], stamp=2)
+        assert store.gc() > 0  # the batch's pack is copied out, in pieces
+        for view in (store, ShardedDiskKVStore(str(tmp_path))):
+            for key, entry in entries.items():
+                assert states_bit_equal(view.get(key), entry), f"seed={seed} {key}"
 
 
 class TestManifestProperties:

@@ -438,7 +438,8 @@ class TestJsonlEquivalence:
         records = [
             {"op": "put", "key": key, "stamp": int(rng.integers(0, 99)),
              "nbytes": int(rng.integers(0, 10**9))},
-            {"op": "put", "key": key, "stamp": 3, "nbytes": 5, "gen": 2},
+            {"op": "put", "key": key, "stamp": 3, "nbytes": 5,
+             "pack": int(rng.integers(0, 10**6)), "off": int(rng.integers(0, 10**9))},
             {"op": "put", "key": key, "stamp": 3, "nbytes": 5,
              "chunks": [digest] * int(rng.integers(0, 4))},
             {"op": "del", "key": key},
@@ -450,10 +451,14 @@ class TestJsonlEquivalence:
              "chunks": ['evil"digest']},
             {"op": "ref", "inc": {'a"b': 1}},
             {"op": "custom", "blob": [1, None, {"k": key}]},
-            # explicit zero gen / empty ref maps: the builders would
-            # omit the key, json.dumps keeps it — must fall back so the
-            # line round-trips key-for-key
-            {"op": "put", "key": key, "stamp": 1, "nbytes": 1, "gen": 0},
+            # half a location, a non-int offset, a retired field
+            {"op": "put", "key": key, "stamp": 1, "nbytes": 1, "pack": 0},
+            {"op": "put", "key": key, "stamp": 1, "nbytes": 1, "off": 0},
+            {"op": "put", "key": key, "stamp": 1, "nbytes": 1, "pack": 2, "off": 1.5},
+            {"op": "put", "key": key, "stamp": 1, "nbytes": 1, "gen": 2},
+            # empty ref maps: the builder would omit the key, json.dumps
+            # keeps it — must fall back so the line round-trips
+            # key-for-key
             {"op": "ref", "inc": {}, "dec": {digest: 1}},
             {"op": "ref", "inc": {digest: 1}, "dec": {}},
         ]
