@@ -89,13 +89,19 @@ class PrecisionCodec:
         self.stats = CodecStats()
 
     def encode(self, entry: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Return a copy of ``entry`` with configured fields downcast."""
+        """Return a copy of ``entry`` with configured fields downcast.
+
+        Downcast arrays are fresh and frozen (read-only), so the
+        snapshot tier keeps them by reference like the optimizer's own
+        arrays; other fields pass through as they are.
+        """
         encoded: Dict[str, np.ndarray] = {}
         for name, value in entry.items():
             array = np.asarray(value)
             target = self.field_dtypes.get(name)
             if target is not None and array.dtype.kind == "f":
                 array = self._safe_downcast(array, np.dtype(target))
+                array.flags.writeable = False
             encoded[name] = array
         self.stats.raw_bytes += entry_nbytes(entry)
         self.stats.encoded_bytes += entry_nbytes(encoded)

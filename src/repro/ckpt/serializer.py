@@ -284,6 +284,25 @@ def serialize_entry_frames(entry: Mapping[str, np.ndarray]) -> Iterator[Frame]:
         yield bytes(header)
 
 
+def serialized_nbytes(entry: Mapping[str, np.ndarray]) -> int:
+    """Exact size of ``serialize_entry(entry)``, by arithmetic alone.
+
+    Mirrors the header layout :func:`serialize_entry_frames` writes, so
+    a store that retains arrays instead of bytes records the same size
+    a byte store would, without serializing.
+    """
+    total = len(_MAGIC) + 4
+    for name, value in entry.items():
+        array = np.asarray(value)
+        total += (
+            2 + len(name.encode("utf-8"))
+            + 1 + len(array.dtype.str)
+            + 1 + 8 * array.ndim
+            + 8 + array.nbytes
+        )
+    return total
+
+
 class PayloadFrames:
     """A serialized entry as a rope of buffers, never concatenated.
 
@@ -473,8 +492,8 @@ def deserialize_entry(
     ``copy=True`` (default) returns arrays owning their data — always
     writable.  ``copy=False`` returns zero-copy ``frombuffer`` views
     into ``data``: no per-field allocation, but the arrays inherit the
-    buffer's mutability (read-only for ``bytes``), so callers handing
-    them to training must go through a writability guard
+    buffer's mutability (read-only for ``bytes``), so callers that
+    write them in place must go through a writability guard
     (:func:`writable_entry`, or any copying assignment).
     """
     view = memoryview(data)
@@ -518,9 +537,9 @@ def writable_entry(entry: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Guard for zero-copy reads: copy exactly the read-only arrays.
 
     Arrays from ``deserialize_entry(..., copy=False)`` view an immutable
-    buffer; training code mutates restored state in place, so anything
-    non-writable is copied here (and nothing else — the guard costs
-    bytes only where mutability is actually missing).
+    buffer; for a consumer that mutates restored state in place,
+    anything non-writable is copied here (and nothing else — the guard
+    costs bytes only where mutability is actually missing).
     """
     guarded: Dict[str, np.ndarray] = {}
     for name, value in entry.items():

@@ -71,8 +71,10 @@ class SaveProfile:
     :class:`~repro.ckpt.serializer.PipelineMeters`), so
     ``bytes_hashed / bytes_serialized`` is that save's hash passes per
     payload byte (1.0 on the single-pass path) and ``bytes_copied``
-    its staging copies (0 sync, one per persisted byte async).
-    ``demo --profile`` renders these per checkpoint.
+    its staging copies: 0 sync, where entries are the optimizer's own
+    read-only arrays and neither tier copies them, and one per
+    persisted byte async.  ``demo --profile`` renders these per
+    checkpoint.
 
     With async writes the chunk codec runs as the background pipeline
     drains, so a save's compression bytes can land in the *following*
@@ -164,8 +166,8 @@ class _Persisted(NamedTuple):
 
 class _Planned(NamedTuple):
     """One entry a checkpoint saves: its key, its parameter, the function
-    that copies it off the optimizer, and its expert (None for a
-    non-expert parameter)."""
+    that builds it from the optimizer's bound arrays, and its expert
+    (None for a non-expert parameter)."""
 
     key: str
     name: str
@@ -240,8 +242,12 @@ class MoCCheckpointManager:
     Independently of ``delta_saves``, a snapshot-tier entry whose
     version has not moved since it was materialized, and which survived
     every node fault since, is restamped in place instead of rebuilt.
-    Each entry a checkpoint needs is built (copied off the optimizer)
-    once and shared by both tiers.
+    Each entry a checkpoint needs is built once and shared by both
+    tiers.  It holds the optimizer's own arrays, which
+    :meth:`~repro.models.optim.Adam.bind` made read-only: the snapshot
+    tier keeps them by reference and the persist tier frames them
+    without copying, so a synchronous save copies nothing before the
+    pack write.
     """
 
     def __init__(
@@ -392,21 +398,21 @@ class MoCCheckpointManager:
     # ------------------------------------------------------------------
     # Entry extraction / injection
     # ------------------------------------------------------------------
+    # The builders return the arrays the optimizer has bound, not
+    # copies: ``Adam.bind`` froze them, and training rebinds rather than
+    # writes, so what a checkpoint captured never changes afterwards.
     def _weights_entry(self, param_name: str) -> Dict[str, np.ndarray]:
-        return {"weights": self.optimizer.params[param_name].data.copy()}
+        return {"weights": self.optimizer.params[param_name].data}
 
     def _optimizer_entry(self, param_name: str) -> Dict[str, np.ndarray]:
         state = self.optimizer.state[param_name]
-        return {
-            "master": state.master.copy(),
-            "m": state.m.copy(),
-            "v": state.v.copy(),
-            "step": np.asarray(state.step),
-        }
+        step = np.asarray(state.step)
+        step.flags.writeable = False
+        return {"master": state.master, "m": state.m, "v": state.v, "step": step}
 
     def _full_entry(self, param_name: str) -> Dict[str, np.ndarray]:
         entry = self._optimizer_entry(param_name)
-        entry["weights"] = self.optimizer.params[param_name].data.copy()
+        entry["weights"] = self.optimizer.params[param_name].data
         return entry
 
     def _encode(self, entry: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -416,20 +422,19 @@ class MoCCheckpointManager:
         return self.codec.decode(entry) if self.codec is not None else entry
 
     def _load_entry(self, param_name: str, entry: Mapping[str, np.ndarray]) -> None:
-        param = self.optimizer.params[param_name]
-        state = self.optimizer.state[param_name]
+        weights = master = m = v = step = None
         if "weights" in entry:
-            param.data = np.array(entry["weights"], dtype=np.float64)
+            weights = np.array(entry["weights"], dtype=np.float64)
         if "master" in entry:
-            state.master = np.array(entry["master"], dtype=np.float64)
-            state.m = np.array(entry["m"], dtype=np.float64)
-            state.v = np.array(entry["v"], dtype=np.float64)
-            state.step = int(np.asarray(entry["step"]).reshape(-1)[0])
-            if "weights" not in entry:
+            master = np.array(entry["master"], dtype=np.float64)
+            m = np.array(entry["m"], dtype=np.float64)
+            v = np.array(entry["v"], dtype=np.float64)
+            step = int(np.asarray(entry["step"]).reshape(-1)[0])
+            if weights is None:
                 # Optimizer-only restore: the master copy governs the
                 # parameter value going forward (mixed-precision rule).
-                param.data = state.master.copy()
-        self.optimizer.bump_version(param_name)
+                weights = master
+        self.optimizer.bind(param_name, weights, master=master, m=m, v=v, step=step)
 
     # ------------------------------------------------------------------
     # Routing / PLT feed
@@ -608,7 +613,7 @@ class MoCCheckpointManager:
     def _entry(
         self, built: Dict[str, Dict[str, np.ndarray]], planned: _Planned
     ) -> Dict[str, np.ndarray]:
-        """This checkpoint's one copy of ``planned``'s entry, built on first use."""
+        """This checkpoint's one build of ``planned``'s entry, made on first use."""
         entry = built.get(planned.key)
         if entry is None:
             entry = built[planned.key] = self._encode(planned.build(planned.name))
@@ -876,9 +881,9 @@ class MoCCheckpointManager:
                 for entry_key in plan.sources
             ]
         # Zero-copy reads: entries come back as frombuffer views (no
-        # per-field allocation); _load_entry copies into the optimizer's
-        # own arrays, which is the writability guard — training never
-        # sees a read-only restored array.
+        # per-field allocation, and the snapshot tier's retained arrays
+        # themselves); _load_entry copies them into fresh arrays the
+        # optimizer binds and freezes.
         with _span("restore-fetch", requests=len(requests)):
             entries, restore_stats = ParallelRestorer(
                 workers=restore_workers, copy=False

@@ -13,18 +13,24 @@ parameter name, which is what the checkpoint layer shards and what PEC
 selectively drops.
 
 ``versions`` counts, per parameter, how often its arrays were rebound.
-Every writer bumps it: :meth:`Adam.step` (only for parameters that had a
-gradient), :meth:`Adam.load_state_dict` and anything calling
-:meth:`Adam.bump_version`.  ``Adam`` rebinds arrays rather than writing
-them in place, so an unchanged version means unchanged content, and the
-checkpoint manager skips clean state on that evidence without copying
-or hashing it.
+Every writer bumps it: :meth:`Adam.bind` (which :meth:`Adam.step`, for
+parameters that had a gradient, and :meth:`Adam.load_state_dict` go
+through) and anything calling :meth:`Adam.bump_version`.
+
+Immutability contract: every array ``Adam`` binds — ``master``, ``m``,
+``v`` and the parameter's ``data`` — is read-only
+(``flags.writeable = False``).  Training rebinds instead of writing in
+place, so an unchanged version means unchanged content: the checkpoint
+manager skips clean state on that evidence without copying or hashing
+it, and a checkpoint captures the bound arrays by reference.  An
+in-place write to checkpointed state raises instead of silently
+changing a snapshot the version skip treats as clean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -71,20 +77,52 @@ class Adam:
         self.grad_clip = grad_clip
         self.state: "Dict[str, AdamParamState]" = {
             name: AdamParamState(
-                master=p.data.astype(np.float64).copy(),
+                master=p.data.astype(np.float64),
                 m=np.zeros_like(p.data, dtype=np.float64),
                 v=np.zeros_like(p.data, dtype=np.float64),
             )
             for name, p in self.params.items()
         }
-        self.versions: Dict[str, int] = dict.fromkeys(self.params, 0)
+        self.versions: Dict[str, int] = {}
+        for name, p in self.params.items():
+            state = self.state[name]
+            self.bind(name, p.data, master=state.master, m=state.m, v=state.v)
+
+    def bind(
+        self,
+        name: str,
+        weights: Optional[np.ndarray] = None,
+        master: Optional[np.ndarray] = None,
+        m: Optional[np.ndarray] = None,
+        v: Optional[np.ndarray] = None,
+        step: Optional[int] = None,
+    ) -> None:
+        """Rebind ``name``'s parameter value and optimizer state.
+
+        The one way they change: each array given is frozen
+        (``flags.writeable = False``) and becomes the bound one, the
+        rest stay, and the version bumps (the first bind, at
+        construction, is version 0).  Pass arrays nothing else writes —
+        fresh results or copies.
+        """
+        state = self.state[name]
+        for field, array in (("master", master), ("m", m), ("v", v)):
+            if array is not None:
+                array.flags.writeable = False
+                setattr(state, field, array)
+        if step is not None:
+            state.step = step
+        if weights is not None:
+            weights.flags.writeable = False
+            self.params[name].data = weights
+        self.versions[name] = self.versions.get(name, -1) + 1
 
     def bump_version(self, name: str) -> None:
         """Record that ``name``'s weights or optimizer state changed.
 
-        Code that rebinds or mutates a parameter's arrays outside
-        :meth:`step` / :meth:`load_state_dict` must call this, or the
-        checkpoint manager treats the old content as still current.
+        Code that rebinds a parameter's arrays without :meth:`bind`
+        must call this, or the checkpoint manager treats the old
+        content as still current.
         """
         self.versions[name] += 1
 
@@ -117,14 +155,13 @@ class Adam:
             grad = p.grad
             if self.weight_decay > 0:
                 grad = grad + self.weight_decay * state.master
-            state.step += 1
-            state.m = self.beta1 * state.m + (1 - self.beta1) * grad
-            state.v = self.beta2 * state.v + (1 - self.beta2) * grad**2
-            m_hat = state.m / (1 - self.beta1**state.step)
-            v_hat = state.v / (1 - self.beta2**state.step)
-            state.master = state.master - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.data = state.master.copy()
-            self.versions[name] += 1
+            step = state.step + 1
+            m = self.beta1 * state.m + (1 - self.beta1) * grad
+            v = self.beta2 * state.v + (1 - self.beta2) * grad**2
+            m_hat = m / (1 - self.beta1**step)
+            v_hat = v / (1 - self.beta2**step)
+            master = state.master - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.bind(name, master, master=master, m=m, v=v, step=step)
 
     # ------------------------------------------------------------------
     # Checkpoint interface
@@ -149,13 +186,13 @@ class Adam:
                 if strict:
                     raise KeyError(f"unexpected optimizer entry {name!r}")
                 continue
-            s = self.state[name]
-            s.master = np.array(entry["master"], dtype=np.float64)
-            s.m = np.array(entry["m"], dtype=np.float64)
-            s.v = np.array(entry["v"], dtype=np.float64)
-            s.step = int(np.asarray(entry["step"]).reshape(-1)[0])
-            self.params[name].data = s.master.copy()
-            self.versions[name] += 1
+            master = np.array(entry["master"], dtype=np.float64)
+            self.bind(
+                name, master, master=master,
+                m=np.array(entry["m"], dtype=np.float64),
+                v=np.array(entry["v"], dtype=np.float64),
+                step=int(np.asarray(entry["step"]).reshape(-1)[0]),
+            )
 
     def load_param_entry(self, name: str, entry: Dict[str, np.ndarray]) -> None:
         """Restore a single parameter's weights + optimizer state."""

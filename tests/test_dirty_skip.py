@@ -12,8 +12,9 @@ Two properties pin that this is only ever an optimization:
   skipped key's stored bytes equal the live state (the content digest
   is the oracle), and every snapshot entry, restamped or rebuilt,
   deserializes to the live arrays;
-* **build-once never aliases** — each entry is copied off the optimizer
-  once and shared by both tiers, yet mutating the optimizer after
+* **build-once never aliases** — each entry holds the optimizer's own
+  (read-only) arrays and is shared by both tiers: an in-place write to
+  them raises, and rebinding or stepping the optimizer after
   ``checkpoint()`` returns never changes the bytes either tier stores.
 """
 
@@ -175,6 +176,24 @@ class TestVersionSkipSoundness:
 
 
 class TestBuildOnceNeverAliases:
+    def test_in_place_write_to_checkpointed_state_raises(self, tmp_path):
+        model, optimizer, manager, corpus = sparse_run(
+            tmp_path, "sharded", seed=4, pec=PECConfig(k_snapshot=NUM_EXPERTS, k_persist=4)
+        )
+        with manager:
+            manager.save_initial(0)
+            train_steps(model, optimizer, corpus, 2, start=1, batch_size=1)
+            manager.note_model_routing()
+            manifest = manager.checkpoint(3)
+            for name, param in model.named_parameters():
+                state = optimizer.state[name]
+                for array in (param.data, state.master, state.m, state.v):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array += 1.0
+            for record in manifest.snapshot_entries:
+                for array in manager.memory_store.get(record.entry_key, copy=False).values():
+                    assert not array.flags.writeable, record.entry_key
+
     @pytest.mark.parametrize("tier", sorted(TIERS))
     def test_mutation_after_checkpoint_never_changes_stored_bytes(self, tmp_path, tier):
         # Every expert snapshotted, so node 1's half survives the fault.
@@ -191,13 +210,14 @@ class TestBuildOnceNeverAliases:
                 for record in (manifest.snapshot_entries + manifest.persist_entries
                                + manifest.persist_skipped)
             }
-            # Mutate everything after checkpoint() returned: in-place
-            # writes to the very arrays the checkpoint read, then Adam
-            # steps rebinding them, then a recover reloading them.
+            # Change everything after checkpoint() returned: rebind
+            # every array the checkpoint read (in-place writes raise),
+            # then Adam steps rebinding them, then a recover reloading
+            # them.
             for name, param in model.named_parameters():
                 state = optimizer.state[name]
-                for array in (param.data, state.master, state.m, state.v):
-                    array += 1.0
+                param.data = param.data + 1.0
+                state.master, state.m, state.v = state.master + 1.0, state.m + 1.0, state.v + 1.0
                 optimizer.bump_version(name)
             train_steps(model, optimizer, corpus, 3, start=4, batch_size=4)
             manager.recover(failed_nodes=[0])

@@ -813,8 +813,10 @@ class TestManagerMeterInvariants:
         rng = np.random.default_rng(0)
         for iteration in iterations:
             for name, param in model.named_parameters():
-                param.data += rng.standard_normal(param.data.shape) * 0.01
-                optimizer.bump_version(name)  # an in-place write outside Adam
+                # A write outside Adam rebinds (bound arrays are
+                # read-only) and bumps the version.
+                param.data = param.data + rng.standard_normal(param.data.shape) * 0.01
+                optimizer.bump_version(name)
             manager.note_routing(
                 [np.full(manager.num_experts, 2)] * manager.num_moe_layers
             )
@@ -869,8 +871,9 @@ class TestManagerMeterInvariants:
                 name: param.data.copy()
                 for name, param in model.named_parameters()
             }
-            for _name, param in model.named_parameters():
-                param.data += 1.0
+            for name, param in model.named_parameters():
+                param.data = param.data + 1.0
+                optimizer.bump_version(name)
             result = manager.recover(failed_nodes=[0, 1])
             assert result.resume_iteration == 0
             for name, param in model.named_parameters():

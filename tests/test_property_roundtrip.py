@@ -5,7 +5,8 @@ The generators live in ``repro.testing`` (``random_nested_state``,
 failure reproduces from the printed seed alone.  Covered properties:
 
 * serializer: arbitrary entries survive serialize→deserialize bit-exact
-  (dtype, shape and bytes);
+  (dtype, shape and bytes), and ``serialized_nbytes`` is their exact
+  serialized size;
 * pack store: seeded puts, batches, deletes, reopens and gc agree with a
   dict model and leave no unreferenced pack; short writes resume exactly;
 * manifest: entry-key construction parses back to the same identity;
@@ -25,6 +26,7 @@ import pytest
 
 from repro.testing import (
     flatten_state,
+    random_array,
     random_entry,
     random_field_name,
     random_nested_state,
@@ -45,6 +47,7 @@ from repro.ckpt import (
     serialize_entry_frames,
 )
 from repro.ckpt import sharded
+from repro.ckpt.serializer import serialized_nbytes
 from repro.ckpt.manifest import expert_entry_key, parse_entry_key
 from repro.core import grid_topology, plan_reshard, reshard_read_requests
 from repro.models.serial import ExpertKey
@@ -92,6 +95,29 @@ class TestSerializerProperties:
             assert viewed[name].dtype == copied[name].dtype, f"seed={seed}"
             assert viewed[name].shape == copied[name].shape, f"seed={seed}"
             assert viewed[name].tobytes() == copied[name].tobytes(), f"seed={seed}"
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_serialized_nbytes_is_the_serialized_size(self, seed):
+        # The snapshot tier records sizes by arithmetic, never by
+        # serializing: it must agree with the format on every layout —
+        # here also the ones the generators rarely draw.
+        rng = seeded_rng(seed)
+        entry = random_entry(rng)
+        grid = rng.standard_normal((4, 6))
+        entry.update({
+            "0-d": np.asarray(rng.standard_normal()),
+            "empty": np.zeros((0, int(rng.integers(1, 4)))),
+            "strided": grid[::2, ::3],
+            "fortran": grid.T,
+            "big-endian": grid.astype(">f4"),
+            "datetime": rng.integers(0, 10**9, size=3).astype("datetime64[ns]"),
+            "漢é " + random_field_name(rng): random_array(rng),
+        })
+        payload = serialize_entry(entry)
+        assert serialized_nbytes(entry) == len(payload), f"seed={seed}"
+        store = InMemoryKVStore()
+        assert store.put("k", entry, stamp=0) == len(payload), f"seed={seed}"
+        assert store._read("k") == payload, f"seed={seed}"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_entry_digest_identifies_serialized_payload(self, seed):

@@ -1,6 +1,6 @@
 """The zero-copy, single-hash-pass save pipeline, pinned by meters.
 
-Four properties this suite exists to hold:
+Five properties this suite exists to hold:
 
 * **frame identity** — the streaming frame serializer concatenates to
   exactly ``serialize_entry``'s bytes, and its chunk digests/slices
@@ -16,7 +16,11 @@ Four properties this suite exists to hold:
 * **zero-copy reads stay safe** — ``deserialize_entry(copy=False)``
   returns views that share the payload buffer, the writability guard
   restores mutability exactly where needed, and a recovery through the
-  zero-copy restore path hands training fully mutable state.
+  zero-copy restore path binds arrays of the optimizer's own;
+* **checkpoint by reference** — a synchronous checkpoint leaves the
+  snapshot tier holding the very arrays the optimizer bound (or the
+  precision codec produced), before and after a recovery, while a
+  writable caller entry is still copied.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ import pytest
 from repro.ckpt import (
     AsyncWriteBackend,
     DedupBackend,
+    InMemoryKVStore,
     PayloadFrames,
+    PrecisionCodec,
     PipelineMeters,
     ShardedDiskKVStore,
     StagingPool,
@@ -45,12 +51,15 @@ from repro.ckpt import (
 )
 from repro.ckpt import journal
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
+from repro.ckpt.manifest import parse_entry_key
 from repro.testing import (
     TINY,
     random_entry,
     seeded_rng,
     tiny_model_and_optimizer,
+    train_steps,
 )
+from repro.train import MarkovCorpus
 
 SEEDS = range(20)
 
@@ -163,8 +172,10 @@ class TestMeterRegression:
         rng = np.random.default_rng(0)
         for iteration in iterations:
             for name, param in model.named_parameters():
-                param.data += rng.standard_normal(param.data.shape) * 0.01
-                optimizer.bump_version(name)  # an in-place write outside Adam
+                # A write outside Adam rebinds (bound arrays are
+                # read-only) and bumps the version.
+                param.data = param.data + rng.standard_normal(param.data.shape) * 0.01
+                optimizer.bump_version(name)
             manager.note_routing(
                 [np.full(manager.num_experts, 2)] * manager.num_moe_layers
             )
@@ -405,7 +416,7 @@ class TestZeroCopyReads:
         assert guarded["a"] is not mixed["a"]
         assert guarded["b"] is own  # already writable: passed through
 
-    def test_recovery_through_zero_copy_restore_is_mutable(self, tmp_path):
+    def test_recovery_through_zero_copy_restore_binds_fresh_frozen_arrays(self, tmp_path):
         model, optimizer = tiny_model_and_optimizer(TINY)
         config = MoCConfig(
             pec=PECConfig(k_snapshot=2, k_persist=1),
@@ -417,14 +428,126 @@ class TestZeroCopyReads:
             manager.save_initial(0)
             result = manager.recover(failed_nodes=[0], restore_workers=2)
             assert result.resume_iteration == 0
-            # restored state is fully mutable: a training-style update
-            # must succeed on every parameter and optimizer slot
+            # Restored state is bound like trained state: arrays of its
+            # own (never views over a store's buffers), read-only, and
+            # a training-style update rebinds every slot.
             for name, param in model.named_parameters():
-                param.data += 1.0
                 state = optimizer.state[name]
-                state.master += 1.0
-                state.m *= 0.5
-                state.v *= 0.5
+                for array in (param.data, state.master, state.m, state.v):
+                    assert array.flags.owndata and not array.flags.writeable
+                with pytest.raises(ValueError):
+                    state.m *= 0.5
+                optimizer.bind(
+                    name, param.data + 1.0, master=state.master + 1.0,
+                    m=state.m * 0.5, v=state.v * 0.5,
+                )
+
+
+def bound_arrays(optimizer, key: str) -> dict:
+    """The arrays the optimizer has bound for entry ``key``, by field
+    (``step`` is a scalar, not a bound array)."""
+    kind, _expert, name = parse_entry_key(key)
+    if kind == "expert":
+        name, part = name[:-2], name[-1]
+    else:
+        part = "wo"
+    state = optimizer.state[name]
+    arrays = {}
+    if "w" in part:
+        arrays["weights"] = optimizer.params[name].data
+    if "o" in part:
+        arrays.update(master=state.master, m=state.m, v=state.v)
+    return arrays
+
+
+class TestCheckpointByReference:
+    def _manager(self, tmp_path, **kwargs):
+        model, optimizer = tiny_model_and_optimizer(TINY)
+        config = MoCConfig(
+            pec=PECConfig(k_snapshot=2, k_persist=1),
+            two_level=TwoLevelConfig(checkpoint_interval=1),
+        )
+        return model, optimizer, MoCCheckpointManager(
+            model, optimizer, config, disk_root=str(tmp_path), **kwargs
+        )
+
+    @staticmethod
+    def _state_records(manifest):
+        return [
+            record for record in manifest.snapshot_entries
+            if parse_entry_key(record.entry_key)[0] != "meta"
+        ]
+
+    def _assert_retains_bound_arrays(self, manager, manifest):
+        records = self._state_records(manifest)
+        assert records
+        for record in records:
+            retained = manager.memory_store.get(record.entry_key, copy=False)
+            for field, bound in bound_arrays(manager.optimizer, record.entry_key).items():
+                assert np.shares_memory(retained[field], bound), (record.entry_key, field)
+
+    def test_sync_checkpoint_retains_the_optimizers_arrays(self, tmp_path):
+        model, optimizer, manager = self._manager(tmp_path)
+        with manager:
+            manager.save_initial(0)
+            corpus = MarkovCorpus(vocab_size=TINY.vocab_size, seq_len=TINY.max_seq_len)
+            train_steps(model, optimizer, corpus, 2)
+            manifest = manager.checkpoint(2)
+            self._assert_retains_bound_arrays(manager, manifest)
+            sizes = {r.entry_key: r.nbytes for r in manifest.snapshot_entries}
+            for key, nbytes in sizes.items():
+                assert nbytes == len(serialize_entry(manager.memory_store.get(key)))
+            assert manager.pipeline_meters.snapshot()["bytes_copied"] == 0
+
+    def test_next_checkpoint_after_recover_still_retains_bound_arrays(self, tmp_path):
+        # Recovery rebinds every parameter from restored copies; unless
+        # the optimizer froze them, the snapshot tier would copy them.
+        _model, _optimizer, manager = self._manager(tmp_path)
+        with manager:
+            manager.save_initial(0)
+            manager.recover(failed_nodes=[0, 1])
+            self._assert_retains_bound_arrays(manager, manager.checkpoint(1))
+
+    def test_precision_codec_output_is_retained_by_reference(self, tmp_path):
+        encoded = []
+
+        class RecordingCodec(PrecisionCodec):
+            def encode(self, entry):
+                out = super().encode(entry)
+                encoded.extend(out.values())
+                return out
+
+        _model, _optimizer, manager = self._manager(tmp_path, codec=RecordingCodec())
+        with manager:
+            manifest = manager.save_initial(0)
+            produced = {id(array) for array in encoded}
+            records = self._state_records(manifest)
+            assert records
+            for record in records:
+                retained = manager.memory_store.get(record.entry_key, copy=False)
+                for field, array in retained.items():
+                    assert id(array) in produced, (record.entry_key, field)
+                    if array.dtype != np.float64 and array.ndim:
+                        assert not array.flags.writeable
+
+    def test_writable_caller_entry_is_copied_once(self):
+        store = InMemoryKVStore()
+        owned = np.arange(4.0)
+        frozen = np.arange(4.0)
+        frozen.flags.writeable = False
+        frozen_view_of_writable = owned[:2]
+        frozen_view_of_writable.flags.writeable = False
+        store.put("k", {"owned": owned, "frozen": frozen, "view": frozen_view_of_writable},
+                  stamp=1)
+        owned += 1.0
+        kept = store.get("k", copy=False)
+        assert np.array_equal(kept["owned"], np.arange(4.0))
+        assert np.array_equal(kept["view"], np.arange(2.0))
+        assert kept["frozen"] is frozen
+        assert not any(array.flags.writeable for array in kept.values())
+        copied = store.get("k")
+        assert all(array.flags.writeable for array in copied.values())
+        assert not np.shares_memory(copied["frozen"], frozen)
 
 
 class TestJsonlEquivalence:
