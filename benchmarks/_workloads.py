@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.ckpt import make_backend
 from repro.core import MoCConfig, MoCCheckpointManager, PECConfig, TwoLevelConfig
 from repro.models import Adam, MoEModelConfig, MoETransformerLM
 from repro.train import (
@@ -81,7 +82,9 @@ def pretrain(
             two_level_recovery=two_level_recovery,
         ),
     )
-    manager = MoCCheckpointManager(model, optimizer, moc, disk_root=tmp_dir)
+    manager = MoCCheckpointManager(
+        model, optimizer, moc, disk_store=make_backend("sharded", tmp_dir)
+    )
     from repro.train.faults import FaultEvent
 
     schedule = FaultSchedule(

@@ -156,7 +156,7 @@ def compute_compression_ablation():
     """Codec x PEC: byte ratio of each combination vs the plain full save."""
     import tempfile
 
-    from repro.ckpt import PrecisionCodec
+    from repro.ckpt import PrecisionCodec, make_backend
     from repro.core import MoCConfig, MoCCheckpointManager, TwoLevelConfig
     from repro.models import Adam
     from _workloads import make_corpus, make_lm
@@ -175,7 +175,7 @@ def compute_compression_ablation():
                 manager = MoCCheckpointManager(
                     model, optimizer,
                     MoCConfig(pec=pec, two_level=TwoLevelConfig(checkpoint_interval=4)),
-                    disk_root=disk, codec=codec,
+                    disk_store=make_backend("sharded", disk), codec=codec,
                 )
                 manager.save_initial(0)
                 for iteration in range(1, 5):

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.testing import once
 from repro.analysis import Series, render_series, render_table
+from repro.ckpt import make_backend
 from repro.core import (
     MoCConfig,
     MoCCheckpointManager,
@@ -85,7 +86,7 @@ def run_vision_variants():
             manager = MoCCheckpointManager(
                 model, optimizer,
                 MoCConfig(pec=pec, two_level=TwoLevelConfig(checkpoint_interval=interval)),
-                disk_root=disk,
+                disk_store=make_backend("sharded", disk),
             )
             curve = Series(label)
             trainer = Trainer(

@@ -40,6 +40,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.analysis import render_table
+from repro.ckpt import make_backend
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
 from repro.obs import get_tracer
 from repro.obs.trace import span
@@ -129,7 +130,7 @@ def _make_manager(root: str) -> MoCCheckpointManager:
         two_level=TwoLevelConfig(checkpoint_interval=1),
     )
     return MoCCheckpointManager(
-        model, optimizer, config, disk_root=root, backend="sharded"
+        model, optimizer, config, disk_store=make_backend("sharded", root)
     )
 
 

@@ -27,6 +27,7 @@ from repro import (
     TwoLevelConfig,
 )
 from repro.analysis import render_table
+from repro.ckpt import make_backend
 from repro.train import lm_validation_loss
 
 NUM_EXPERTS = 8
@@ -59,7 +60,9 @@ def run_strategy(name: str, moc_config: MoCConfig):
     corpus = MarkovCorpus(vocab_size=48, num_domains=4, seq_len=20, seed=3)
     validation = corpus.validation_set(3, 4)
     with tempfile.TemporaryDirectory() as storage:
-        manager = MoCCheckpointManager(model, optimizer, moc_config, disk_root=storage)
+        manager = MoCCheckpointManager(
+            model, optimizer, moc_config, disk_store=make_backend("sharded", storage)
+        )
         trainer = Trainer(
             model, optimizer, corpus,
             TrainerConfig(total_iterations=TOTAL_ITERATIONS, batch_size=4),

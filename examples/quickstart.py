@@ -24,6 +24,7 @@ from repro import (
     TrainerConfig,
     TwoLevelConfig,
 )
+from repro.ckpt import make_backend
 from repro.train import lm_validation_loss
 
 
@@ -46,7 +47,9 @@ def main() -> None:
     )
 
     with tempfile.TemporaryDirectory() as storage:
-        manager = MoCCheckpointManager(model, optimizer, moc_config, disk_root=storage)
+        manager = MoCCheckpointManager(
+            model, optimizer, moc_config, disk_store=make_backend("sharded", storage)
+        )
         validation = corpus.validation_set(3, 4)
         trainer = Trainer(
             model,

@@ -266,9 +266,6 @@ class _StateModel:
             if state.maybe:
                 state.settle(state.maybe[-1])
 
-    def live_keys(self) -> List[str]:
-        return [k for k, s in self.keys.items() if s.committed is not None or s.maybe]
-
     def observe(self, store) -> List[str]:
         """Reconcile uncertainty against the recovered store.
 

@@ -205,11 +205,6 @@ class StagingPool:
         with self._cond:
             return len(self._free)
 
-    @property
-    def arena_in_use(self) -> int:
-        with self._cond:
-            return self._allocated - sum(len(buf) for buf in self._free)
-
 
 class _Staged(NamedTuple):
     """One staged put: the mutation-safe payload plus the pool buffer

@@ -205,6 +205,8 @@ def make_backend(
 ) -> CheckpointBackend:
     """Construct a persist-tier backend by name.
 
+    The one place storage options are parsed: the manager's
+    ``disk_store`` and ``resume_training``'s ``store`` take its result.
     ``memory`` ignores ``root`` (useful for demos and tests);
     ``sharded`` (the default persist tier), ``dedup`` and ``tiered``
     require a directory.  ``codec`` (a chunk codec name or instance)

@@ -91,10 +91,6 @@ class RestoreStats:
     wall_seconds: float
     profile: Optional[RestoreProfile] = None
 
-    @property
-    def entries_per_second(self) -> float:
-        return self.entries / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
 
 class _LaneRecorder:
     """Accumulates per-read timings during one fetch.

@@ -213,10 +213,6 @@ class PipelineMeters:
         """Record one completed remote-tier upload of ``nbytes``."""
         self._bytes_uploaded.inc(nbytes)
 
-    def count_upload_retry(self) -> None:
-        """Record one retried (backed-off) remote-tier upload attempt."""
-        self._upload_retries.inc()
-
     def snapshot(self) -> Dict[str, int]:
         return {
             field: int(getattr(self, "_" + field).value)

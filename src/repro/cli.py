@@ -194,37 +194,32 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     resharding = args.resume_dp is not None or args.resume_ep is not None
     dedup = args.backend == "dedup"
     tiered = args.backend == "tiered"
-    if (args.codec is not None or args.parallel_workers) and not (dedup or tiered):
-        print("error: --codec/--parallel-workers require --backend dedup "
-              "or tiered", file=sys.stderr)
-        return 2
-    if (args.remote_latency or args.remote_fault_rate
-            or args.local_keep is not None) and not tiered:
-        print("error: --remote-latency/--remote-fault-rate/--local-keep "
-              "require --backend tiered", file=sys.stderr)
-        return 2
     # One run-scoped observer: the manager's pipeline meters and the
     # tiered backend's upload/fault counters all land on this registry,
     # so ``--metrics-dump`` reads every pinned invariant from one place.
     # Spans always flow to the process tracer; ``--trace`` switches it
     # on (disabled tracing is a shared no-op span — near-zero cost).
     observer = Observer(tracer=get_tracer())
-    if args.trace:
-        observer.tracer.reset()
-        observer.tracer.enable()
     rows = []
     restore_profiles = []
     with tempfile.TemporaryDirectory() as storage:
-        store = make_backend(
-            args.backend, storage,
-            codec=args.codec, parallel_workers=args.parallel_workers,
-            remote_latency=args.remote_latency,
-            remote_fault_rate=args.remote_fault_rate,
-            upload_workers=args.upload_workers,
-            local_keep_stamps=args.local_keep,
-            hedge_after_seconds=args.hedge_after,
-            registry=observer.registry,
-        )
+        try:
+            store = make_backend(
+                args.backend, storage,
+                codec=args.codec, parallel_workers=args.parallel_workers,
+                remote_latency=args.remote_latency,
+                remote_fault_rate=args.remote_fault_rate,
+                upload_workers=args.upload_workers,
+                local_keep_stamps=args.local_keep,
+                hedge_after_seconds=args.hedge_after,
+                registry=observer.registry,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.trace:
+            observer.tracer.reset()
+            observer.tracer.enable()
         if args.async_writes:
             store = AsyncWriteBackend(store)
         manager = MoCCheckpointManager(

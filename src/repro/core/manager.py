@@ -25,12 +25,12 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..ckpt.async_writer import AsyncWriteBackend
-from ..ckpt.backend import CheckpointBackend, make_backend
+from ..ckpt.backend import CheckpointBackend
 from ..ckpt.serializer import PayloadFrames, PipelineMeters
 from ..obs import Observer
 from ..obs.trace import span as _span
 from ..ckpt.codec import PrecisionCodec
-from ..ckpt.kvstore import InMemoryKVStore
+from ..ckpt.kvstore import InMemoryKVStore, _immutable
 from ..ckpt.manifest import (
     CheckpointManifest,
     ManifestRecord,
@@ -175,6 +175,23 @@ class _Planned(NamedTuple):
     expert: Optional[ExpertKey]
 
 
+def _restored_arrays(entry: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """``entry``'s arrays as float64, bound by reference when every one
+    is aligned and nothing can write it (:func:`_immutable`, the
+    snapshot tier's rule), else each copied once.  Numpy computes on an
+    unaligned view (a field at an odd payload offset) through other
+    loops, whose rounding would make a resumed run drift from an
+    uninterrupted one; and a bound view pins its whole fetched buffer,
+    which would then hold the copied fields' bytes twice."""
+    arrays = {
+        name: np.asarray(entry[name], dtype=np.float64)
+        for name in ("weights", "master", "m", "v") if name in entry
+    }
+    if all(array.flags.aligned and _immutable(array) for array in arrays.values()):
+        return arrays
+    return {name: np.array(array) for name, array in arrays.items()}
+
+
 class MoCCheckpointManager:
     """Two-level PEC checkpointing for a live model + optimizer pair.
 
@@ -188,15 +205,12 @@ class MoCCheckpointManager:
         weights and moments.
     config:
         Full MoC configuration.
-    memory_store / disk_store:
-        The snapshot tier (an :class:`~repro.ckpt.kvstore.InMemoryKVStore`,
-        which can restamp retained entries) and the persist tier (any
-        :class:`~repro.ckpt.backend.CheckpointBackend`).
-    backend:
-        When building the persist tier from ``disk_root``: one of
-        ``"memory"``, ``"sharded"`` (the default journal store),
-        ``"dedup"`` or ``"tiered"``
-        (see :func:`~repro.ckpt.backend.make_backend`).
+    disk_store:
+        The persist tier: any :class:`~repro.ckpt.backend.CheckpointBackend`,
+        opened by the caller (:func:`~repro.ckpt.backend.make_backend`
+        parses every storage option).  The snapshot tier is always the
+        manager's own :class:`~repro.ckpt.kvstore.InMemoryKVStore`,
+        which can restamp retained entries.
     async_writes:
         Route persist-tier saves through an
         :class:`~repro.ckpt.async_writer.AsyncWriteBackend` so
@@ -205,18 +219,6 @@ class MoCCheckpointManager:
         :meth:`flush` for a durability barrier (``recover`` does so
         automatically).  The async staging copy is the one copy a saved
         byte makes; the chunk codec reads it in place.
-    chunk_codec / parallel_workers:
-        Dedup-tier features, forwarded to
-        :func:`~repro.ckpt.backend.make_backend` when the manager builds
-        its own store (``backend="dedup"``): a chunk-compression codec
-        name (``"zlib"``/``"zstd"``/``"lz4"``/``"auto"``) or
-        :class:`~repro.ckpt.codec.ChunkCodec` instance, and the number
-        of chunk-codec threads (0 = encode on the saving thread).
-    remote_latency / remote_fault_rate / upload_workers / local_keep_stamps:
-        Tiered-backend knobs, forwarded to :func:`make_backend` when
-        ``backend="tiered"``: simulated remote per-op latency and fault
-        rate, background upload worker count (0 = inline uploads), and
-        how many distinct stamps stay on the local tier (None = all).
     expert_placement:
         Hosting node(s) per expert for two-level recovery; defaults to a
         two-node striping (or is derived from ``topology`` when given).
@@ -255,51 +257,22 @@ class MoCCheckpointManager:
         model,
         optimizer: Adam,
         config: MoCConfig,
-        memory_store: Optional[InMemoryKVStore] = None,
-        disk_store: Optional[CheckpointBackend] = None,
-        disk_root: Optional[str] = None,
-        backend: str = "sharded",
+        disk_store: CheckpointBackend,
         async_writes: bool = False,
         expert_placement: Optional[Mapping[ExpertKey, Sequence[int]]] = None,
         num_nodes: int = 2,
         codec: Optional[PrecisionCodec] = None,
-        chunk_codec: Optional[object] = None,
-        parallel_workers: int = 0,
         topology: Optional[ShardTopology] = None,
         delta_saves: bool = False,
-        remote_latency: float = 0.0,
-        remote_fault_rate: float = 0.0,
-        upload_workers: int = 1,
-        local_keep_stamps: Optional[int] = None,
-        hedge_after_seconds: Optional[float] = 0.25,
         observer: Optional[Observer] = None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.config = config
         self.observer = observer
-        if disk_store is None:
-            if disk_root is None and backend != "memory":
-                raise ValueError("provide disk_store or disk_root")
-            disk_store = make_backend(
-                backend, disk_root,
-                codec=chunk_codec, parallel_workers=parallel_workers,
-                remote_latency=remote_latency,
-                remote_fault_rate=remote_fault_rate,
-                upload_workers=upload_workers,
-                local_keep_stamps=local_keep_stamps,
-                hedge_after_seconds=hedge_after_seconds,
-                registry=observer.registry if observer is not None else None,
-            )
-        elif chunk_codec is not None or parallel_workers:
-            raise ValueError(
-                "chunk_codec/parallel_workers configure the store the "
-                "manager builds itself; pass a pre-configured DedupBackend "
-                "as disk_store instead"
-            )
         if async_writes and not isinstance(disk_store, AsyncWriteBackend):
             disk_store = AsyncWriteBackend(disk_store)
-        self.memory_store = memory_store if memory_store is not None else InMemoryKVStore()
+        self.memory_store = InMemoryKVStore()
         self.disk_store = disk_store
         # Optional precision codec: entries are downcast on save and
         # upcast on load (composes with PEC — orthogonal byte savings).
@@ -422,19 +395,16 @@ class MoCCheckpointManager:
         return self.codec.decode(entry) if self.codec is not None else entry
 
     def _load_entry(self, param_name: str, entry: Mapping[str, np.ndarray]) -> None:
-        weights = master = m = v = step = None
-        if "weights" in entry:
-            weights = np.array(entry["weights"], dtype=np.float64)
-        if "master" in entry:
-            master = np.array(entry["master"], dtype=np.float64)
-            m = np.array(entry["m"], dtype=np.float64)
-            v = np.array(entry["v"], dtype=np.float64)
-            step = int(np.asarray(entry["step"]).reshape(-1)[0])
-            if weights is None:
-                # Optimizer-only restore: the master copy governs the
-                # parameter value going forward (mixed-precision rule).
-                weights = master
-        self.optimizer.bind(param_name, weights, master=master, m=m, v=v, step=step)
+        arrays = _restored_arrays(entry)
+        master = arrays.get("master")
+        step = None if master is None else int(np.asarray(entry["step"]).reshape(-1)[0])
+        self.optimizer.bind(
+            param_name,
+            # Optimizer-only restore: the master copy governs the
+            # parameter value going forward (mixed-precision rule).
+            arrays.get("weights", master),
+            master=master, m=arrays.get("m"), v=arrays.get("v"), step=step,
+        )
 
     # ------------------------------------------------------------------
     # Routing / PLT feed
@@ -882,8 +852,7 @@ class MoCCheckpointManager:
             ]
         # Zero-copy reads: entries come back as frombuffer views (no
         # per-field allocation, and the snapshot tier's retained arrays
-        # themselves); _load_entry copies them into fresh arrays the
-        # optimizer binds and freezes.
+        # themselves); _load_entry binds them or copies them once.
         with _span("restore-fetch", requests=len(requests)):
             entries, restore_stats = ParallelRestorer(
                 workers=restore_workers, copy=False

@@ -125,10 +125,6 @@ class CheckpointWorkload:
             for expert in range(self.num_experts)
         ]
 
-    @property
-    def total_non_expert_param_bytes(self) -> int:
-        return sum(size for _, size in self.non_expert_param_items)
-
 
 @dataclass(frozen=True)
 class ShardItem:
@@ -156,10 +152,6 @@ class ShardPlan:
 
     def per_rank_bytes(self) -> List[int]:
         return [self.rank_bytes(r) for r in range(self.topology.num_ranks)]
-
-    def bottleneck_rank(self) -> int:
-        per_rank = self.per_rank_bytes()
-        return int(max(range(len(per_rank)), key=per_rank.__getitem__))
 
     def bottleneck_bytes(self) -> int:
         return max(self.per_rank_bytes())

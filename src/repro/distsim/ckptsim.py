@@ -484,10 +484,6 @@ class TwoTierUploadWindow:
     backlog_growth_bytes: int  # bytes left pending per interval (0 = keeps up)
     expected_attempts: float
 
-    @property
-    def keeps_up(self) -> bool:
-        return self.backlog_growth_bytes == 0
-
 
 def two_tier_upload_window(
     persist_bytes: int,

@@ -60,10 +60,6 @@ class FaultSimResult:
         """Total fault-tolerance overhead (the O_ckpt of Eq. 3)."""
         return self.wall_time - self.ideal_time
 
-    @property
-    def overhead_fraction(self) -> float:
-        return self.overhead / self.ideal_time
-
 
 def simulate_run(config: FaultSimConfig, rng: np.random.Generator) -> FaultSimResult:
     """Simulate one training run to completion.

@@ -9,7 +9,7 @@ node, HDR InfiniBand inter-node, a distributed filesystem per node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 GB = 1024**3
 TFLOP = 1e12
@@ -55,9 +55,6 @@ class ClusterSpec:
             return self.intra_node_bandwidth
         factor = max(num_nodes, 1) ** self.congestion_exponent
         return self.inter_node_bandwidth / factor
-
-    def with_gpu(self, gpu: GPUSpec) -> "ClusterSpec":
-        return replace(self, gpu=gpu)
 
 
 A800 = GPUSpec(

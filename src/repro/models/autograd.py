@@ -25,12 +25,6 @@ ArrayLike = Union[np.ndarray, float, int, Sequence[float]]
 _DEFAULT_DTYPE = np.float64
 
 
-def set_default_dtype(dtype: np.dtype) -> None:
-    """Set the dtype used when wrapping raw python/numpy values."""
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype)
-
-
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f":

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..ckpt.backend import make_backend
 from ..core.config import MoCConfig, PECConfig, TwoLevelConfig
 from ..core.manager import MoCCheckpointManager
 from ..models.optim import Adam
@@ -105,7 +106,9 @@ def run_finetune(
         raise ValueError(f"unhandled variant {variant!r}")
 
     with tempfile.TemporaryDirectory() as disk_root:
-        manager = MoCCheckpointManager(model, optimizer, moc, disk_root=disk_root)
+        manager = MoCCheckpointManager(
+            model, optimizer, moc, disk_store=make_backend("sharded", disk_root)
+        )
         trainer = Trainer(
             model,
             optimizer,

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..ckpt.backend import make_backend
+import numpy as np
+
+from ..ckpt.backend import CheckpointBackend
 from ..ckpt.manifest import meta_entry_key
 from ..core.config import MoCConfig
 from ..core.manager import MoCCheckpointManager, RecoveryResult
@@ -41,18 +43,11 @@ class ResumedRun:
     recovery: Optional[RecoveryResult] = None
 
 
-def latest_persisted_iteration(disk_root: str, backend: str = "sharded") -> int:
-    """The iteration of the newest durable checkpoint, or -1 if none."""
-    if backend == "memory":
-        # A fresh InMemoryKVStore is always empty: nothing in-process
-        # survives the job failure a resume recovers from.
-        raise ValueError("the 'memory' backend is not resumable across processes")
-    store = make_backend(backend, disk_root)
+def latest_persisted_iteration(store: CheckpointBackend) -> int:
+    """The iteration of the newest durable checkpoint in ``store``, or -1."""
     key = meta_entry_key("iteration")
     if not store.has(key):
         return -1
-    import numpy as np
-
     return int(np.asarray(store.get(key)["iteration"]).reshape(-1)[0])
 
 
@@ -62,8 +57,7 @@ def resume_training(
     corpus,
     moc_config: MoCConfig,
     trainer_config: TrainerConfig,
-    disk_root: str,
-    backend: str = "sharded",
+    store: CheckpointBackend,
     async_writes: bool = False,
     fault_schedule: Optional[FaultSchedule] = None,
     val_fn_factory: Optional[Callable[[object], Callable[[], float]]] = None,
@@ -72,14 +66,16 @@ def resume_training(
 ) -> ResumedRun:
     """Rebuild a training stack from a persisted store.
 
-    ``backend`` names the persist tier the job saved to (see
-    :func:`~repro.ckpt.backend.make_backend`; ``"sharded"`` by default).
-    ``model_factory`` must construct the same architecture the store was
-    written from (entry keys are parameter names); ``optimizer_factory``
-    receives the model and returns its Adam.  The returned trainer is
-    positioned to continue from the persisted iteration — call
-    :func:`continue_run` (or ``trainer.run`` manually after adjusting
-    iteration bookkeeping) to finish the job.
+    ``store`` is the persist tier the job saved to, opened by the
+    caller (see :func:`~repro.ckpt.backend.make_backend`); the resumed
+    manager saves to it as well.  ``model_factory`` must construct the
+    same architecture the store was written from (entry keys are
+    parameter names); ``optimizer_factory`` receives the model and
+    returns its Adam.  The returned trainer is positioned to continue
+    from the persisted iteration — call :func:`continue_run` (or
+    ``trainer.run`` manually after adjusting iteration bookkeeping) to
+    finish the job.  A store holding no checkpoint raises
+    ``FileNotFoundError``.
 
     ``target_topology`` resumes the job on a different DP+EP layout than
     it was saved under (elastic reshard-on-resume): the restored state
@@ -87,17 +83,13 @@ def resume_training(
     layout, and ``restore_workers`` readers drain the persist tier in
     parallel.
     """
-    resume_iteration = latest_persisted_iteration(disk_root, backend=backend)
-    if resume_iteration < 0:
-        raise FileNotFoundError(
-            f"no persisted checkpoint under {disk_root!r} — cannot resume"
-        )
+    if latest_persisted_iteration(store) < 0:
+        raise FileNotFoundError("no persisted checkpoint in the store — cannot resume")
     model = model_factory()
     optimizer = optimizer_factory(model)
     manager = MoCCheckpointManager(
-        model, optimizer, moc_config, disk_root=disk_root,
-        backend=backend, async_writes=async_writes,
-        topology=target_topology,
+        model, optimizer, moc_config, disk_store=store,
+        async_writes=async_writes, topology=target_topology,
     )
     # A cold restart has no surviving CPU memory anywhere: every node of
     # the placement is "failed" from the snapshot tier's perspective.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ckpt import make_backend
 from repro.core import MoCConfig, MoCCheckpointManager, PECConfig, TwoLevelConfig
 from repro.models import Adam, MoEModelConfig, MoETransformerLM
 from repro.testing import TINY, params_equal, snapshot_params, train_steps
@@ -38,7 +39,8 @@ def tiny_manager(tiny_model, tiny_optimizer, tmp_path) -> MoCCheckpointManager:
         two_level=TwoLevelConfig(checkpoint_interval=2),
     )
     return MoCCheckpointManager(
-        tiny_model, tiny_optimizer, config, disk_root=str(tmp_path / "ckpt")
+        tiny_model, tiny_optimizer, config,
+        disk_store=make_backend("sharded", str(tmp_path / "ckpt")),
     )
 
 

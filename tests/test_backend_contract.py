@@ -31,7 +31,6 @@ from repro.ckpt import (
 )
 from repro.ckpt.journal import Journal
 from repro.obs.metrics import get_registry
-from repro.train.resume import latest_persisted_iteration
 
 BACKENDS = [
     "memory", "sharded", "sharded-compacting", "dedup", "async",
@@ -418,8 +417,6 @@ class TestShardedJournal:
             path.write_text("{}")
         with pytest.raises(KVStoreError, match="flat-store layout"):
             ShardedDiskKVStore(str(tmp_path))
-        with pytest.raises(KVStoreError, match="flat-store layout"):
-            latest_persisted_iteration(str(tmp_path))
         assert not (tmp_path / "packs").exists()
 
     def test_file_per_entry_layout_root_is_rejected(self, tmp_path):
@@ -432,8 +429,6 @@ class TestShardedJournal:
         )
         with pytest.raises(KVStoreError, match=r"file-per-entry layout \(shards/\)"):
             ShardedDiskKVStore(str(tmp_path))
-        with pytest.raises(KVStoreError, match="file-per-entry layout"):
-            latest_persisted_iteration(str(tmp_path))
         assert not (tmp_path / "packs").exists()
 
 
@@ -763,7 +758,7 @@ class TestAsyncPipeline:
 class TestManagerIntegration:
     """The manager drives any backend pair, sync or async."""
 
-    def _run(self, tmp_path, **manager_kwargs):
+    def _run(self, tmp_path, kind, **manager_kwargs):
         from repro.core import (
             MoCConfig,
             MoCCheckpointManager,
@@ -778,7 +773,8 @@ class TestManagerIntegration:
             two_level=TwoLevelConfig(checkpoint_interval=2),
         )
         manager = MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), **manager_kwargs
+            model, optimizer, config,
+            disk_store=make_backend(kind, str(tmp_path)), **manager_kwargs
         )
         manager.save_initial(0)
         counts = [np.full(4, 2)] * manager.num_moe_layers
@@ -790,13 +786,13 @@ class TestManagerIntegration:
     @pytest.mark.parametrize("backend", ["sharded", "dedup", "tiered"])
     @pytest.mark.parametrize("async_writes", [False, True])
     def test_checkpoint_and_recover(self, tmp_path, backend, async_writes):
-        manager = self._run(tmp_path, backend=backend, async_writes=async_writes)
+        manager = self._run(tmp_path, backend, async_writes=async_writes)
         result = manager.recover(failed_nodes=[0])
         assert result.resume_iteration == 4
         manager.disk_store.close()
 
     def test_async_wraps_given_store(self, tmp_path):
-        manager = self._run(tmp_path, backend="sharded", async_writes=True)
+        manager = self._run(tmp_path, "sharded", async_writes=True)
         assert isinstance(manager.disk_store, AsyncWriteBackend)
         assert isinstance(manager.disk_store.inner, ShardedDiskKVStore)
         manifest = manager.manifests[-1]
@@ -825,7 +821,7 @@ class TestManagerIntegration:
             model, optimizer,
             MoCConfig(pec=PECConfig(k_snapshot=4, k_persist=2),
                       two_level=TwoLevelConfig(checkpoint_interval=1)),
-            disk_root=str(tmp_path), backend="sharded",
+            disk_store=make_backend("sharded", str(tmp_path)),
         )
         manager.save_initial(0)
 
@@ -841,20 +837,6 @@ class TestManagerIntegration:
             assert len(manifest.persist_entries) > 40
             assert len(files() - before) <= 8, iteration
         manager.disk_store.close()
-
-    def test_resume_rejects_memory_backend(self, tmp_path):
-        from repro.train.resume import latest_persisted_iteration
-
-        with pytest.raises(ValueError):
-            latest_persisted_iteration(str(tmp_path), backend="memory")
-
-    def test_memory_backend_needs_no_root(self):
-        from repro.core import MoCConfig, MoCCheckpointManager
-        from repro.testing import tiny_model_and_optimizer
-
-        model, optimizer = tiny_model_and_optimizer()
-        manager = MoCCheckpointManager(model, optimizer, MoCConfig(), backend="memory")
-        assert isinstance(manager.disk_store, InMemoryKVStore)
 
 
 class TestOverlappedWriteWindow:

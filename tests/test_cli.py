@@ -170,6 +170,13 @@ class TestDemo:
         ) == 2
         assert "dedup" in capsys.readouterr().err
 
+    def test_demo_remote_options_require_tiered_backend(self, capsys):
+        assert main(
+            ["demo", "--iterations", "4", "--interval", "2",
+             "--backend", "sharded", "--remote-fault-rate", "0.2"]
+        ) == 2
+        assert "tiered" in capsys.readouterr().err
+
 
 def seeded_dedup_root(tmp_path) -> str:
     from repro.ckpt import DedupBackend

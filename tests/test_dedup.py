@@ -355,7 +355,7 @@ class TestDedupFootprint:
             assert footprint.logical_bytes > 0
 
 
-def _tiny_manager(tmp_path, full_pec: bool = False, **kwargs):
+def _tiny_manager(tmp_path, kind: str = "sharded", full_pec: bool = False, **kwargs):
     from repro.core import MoCConfig, MoCCheckpointManager, PECConfig, TwoLevelConfig
     from repro.testing import TINY, tiny_model_and_optimizer
 
@@ -366,7 +366,7 @@ def _tiny_manager(tmp_path, full_pec: bool = False, **kwargs):
         two_level=TwoLevelConfig(checkpoint_interval=2),
     )
     manager = MoCCheckpointManager(
-        model, optimizer, config, disk_root=str(tmp_path), **kwargs
+        model, optimizer, config, disk_store=make_backend(kind, str(tmp_path)), **kwargs
     )
     return model, optimizer, manager
 
@@ -384,7 +384,7 @@ class TestManagerDeltaSaves:
 
     def test_unchanged_entries_skipped_and_reported(self, tmp_path):
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="dedup", delta_saves=True
+            tmp_path, kind="dedup", delta_saves=True
         )
         manager.save_initial(0)
         self._freeze_and_checkpoint(model, optimizer, manager, [2, 4])
@@ -401,7 +401,7 @@ class TestManagerDeltaSaves:
         from repro.train import MarkovCorpus
 
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="dedup", delta_saves=True
+            tmp_path, kind="dedup", delta_saves=True
         )
         manager.save_initial(0)
         corpus = MarkovCorpus(vocab_size=32, seq_len=12, seed=2)
@@ -421,7 +421,7 @@ class TestManagerDeltaSaves:
         from repro.train import MarkovCorpus
 
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend=backend, delta_saves=True, full_pec=True
+            tmp_path, kind=backend, delta_saves=True, full_pec=True
         )
         manager.save_initial(0)
         corpus = MarkovCorpus(vocab_size=32, seq_len=12, seed=2)
@@ -442,7 +442,7 @@ class TestManagerDeltaSaves:
 
     def test_digest_cache_cleared_on_recover(self, tmp_path):
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="dedup", delta_saves=True
+            tmp_path, kind="dedup", delta_saves=True
         )
         manager.save_initial(0)
         self._freeze_and_checkpoint(model, optimizer, manager, [2])
@@ -461,7 +461,7 @@ class TestManagerDeltaSaves:
         checkpoint would delta-skip entries whose bytes the failed
         pipeline threw away, and recovery would restore stale state."""
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="sharded", delta_saves=True, async_writes=True
+            tmp_path, delta_saves=True, async_writes=True
         )
         manager.save_initial(0)
         manager.flush()
@@ -490,7 +490,7 @@ class TestManagerDeltaSaves:
 
     def test_write_failure_drops_digest_cache(self, tmp_path):
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="dedup", delta_saves=True
+            tmp_path, kind="dedup", delta_saves=True
         )
         manager.save_initial(0)
         self._freeze_and_checkpoint(model, optimizer, manager, [2])
@@ -511,7 +511,7 @@ class TestManagerDeltaSaves:
 class TestManagerContextManager:
     def test_with_block_flushes_and_closes(self, tmp_path):
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="sharded", async_writes=True
+            tmp_path, async_writes=True
         )
         with manager:
             manager.save_initial(0)
@@ -524,7 +524,7 @@ class TestManagerContextManager:
 
     def test_exit_surfaces_deferred_async_error(self, tmp_path):
         model, optimizer, manager = _tiny_manager(
-            tmp_path, backend="sharded", async_writes=True
+            tmp_path, async_writes=True
         )
 
         def explode(key, payload, stamp, node=0):
@@ -536,7 +536,7 @@ class TestManagerContextManager:
                 manager.save_initial(0)
 
     def test_exit_closes_even_when_body_raises(self, tmp_path):
-        model, optimizer, manager = _tiny_manager(tmp_path, backend="dedup")
+        model, optimizer, manager = _tiny_manager(tmp_path, kind="dedup")
         with pytest.raises(KeyError):
             with manager:
                 raise KeyError("body failure")

@@ -23,18 +23,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt import entry_digest
+from repro.ckpt import entry_digest, make_backend
 from repro.ckpt.manifest import parse_entry_key
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
 from repro.models import Adam, MoEModelConfig, MoETransformerLM
 from repro.testing import train_steps
 from repro.train import MarkovCorpus
 
-#: persist tier -> manager options building it.
+#: persist tier -> (store kind, async writes).
 TIERS = {
-    "sharded": {"backend": "sharded"},
-    "dedup": {"backend": "dedup"},
-    "async-tiered": {"backend": "tiered", "async_writes": True},
+    "sharded": ("sharded", False),
+    "dedup": ("dedup", False),
+    "async-tiered": ("tiered", True),
 }
 SEQ_LEN = 8
 NUM_EXPERTS = 16
@@ -47,11 +47,13 @@ def sparse_run(tmp_path, tier: str, seed: int, pec: PECConfig = None, delta_save
         num_experts=NUM_EXPERTS, top_k=2, gate_noise_std=4.0, seed=seed,
     ))
     optimizer = Adam(model.named_parameters(), lr=1e-2)
+    kind, async_writes = TIERS[tier]
     manager = MoCCheckpointManager(
         model, optimizer,
         MoCConfig(pec=pec or PECConfig.full(NUM_EXPERTS),
                   two_level=TwoLevelConfig(checkpoint_interval=1)),
-        disk_root=str(tmp_path), delta_saves=delta_saves, **TIERS[tier],
+        disk_store=make_backend(kind, str(tmp_path)), async_writes=async_writes,
+        delta_saves=delta_saves,
     )
     corpus = MarkovCorpus(vocab_size=32, seq_len=SEQ_LEN, seed=seed + 1)
     return model, optimizer, manager, corpus

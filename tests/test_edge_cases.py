@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt import InMemoryKVStore
+from repro.ckpt import InMemoryKVStore, make_backend
 from repro.testing import TINY
 from repro.core import (
     MoCConfig,
@@ -94,14 +94,15 @@ class TestManagerEdges:
             two_level=kwargs.pop("two_level", TwoLevelConfig(checkpoint_interval=2)),
         )
         manager = MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), **kwargs
+            model, optimizer, config,
+            disk_store=make_backend("sharded", str(tmp_path)), **kwargs
         )
         return model, optimizer, manager
 
     def test_requires_store_or_root(self):
         model = MoETransformerLM(TINY)
         optimizer = Adam(model.named_parameters(), lr=1e-2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             MoCCheckpointManager(model, optimizer, MoCConfig())
 
     def test_maybe_checkpoint_interval_zero_disabled(self, tmp_path):
@@ -113,12 +114,6 @@ class TestManagerEdges:
     def test_maybe_checkpoint_skips_iteration_zero(self, tmp_path):
         _, _, manager = self.make(tmp_path)
         assert manager.maybe_checkpoint(0) is None
-
-    def test_external_memory_store_used(self, tmp_path):
-        store = InMemoryKVStore()
-        _, _, manager = self.make(tmp_path, memory_store=store)
-        manager.save_initial(0)
-        assert store.put_count > 0
 
     def test_note_routing_direct(self, tmp_path):
         model, _, manager = self.make(tmp_path)

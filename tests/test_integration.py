@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ckpt import make_backend
 from repro.testing import TINY, params_equal, snapshot_params
 from repro.core import (
     MoCConfig,
@@ -42,7 +43,7 @@ def build(tmp_path, *, pec, interval=4, total=24, faults=None, two_level=True,
         model, optimizer,
         MoCConfig(pec=pec, two_level=TwoLevelConfig(
             checkpoint_interval=interval, two_level_recovery=two_level)),
-        disk_root=str(tmp_path),
+        disk_store=make_backend("sharded", str(tmp_path)),
         expert_placement=placement,
     )
     trainer = Trainer(
@@ -164,7 +165,7 @@ class TestResumeAcrossManagers:
             MoCConfig(pec=PECConfig.full(TINY.num_experts),
                       two_level=TwoLevelConfig(checkpoint_interval=4,
                                                two_level_recovery=False)),
-            disk_root=str(tmp_path),
+            disk_store=make_backend("sharded", str(tmp_path)),
         )
         result = manager2.recover(failed_nodes=[0, 1])
         assert result.resume_iteration == 8

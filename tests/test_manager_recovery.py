@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.testing import TINY, params_equal, snapshot_params, train_steps
-from repro.ckpt import InMemoryKVStore
+from repro.ckpt import InMemoryKVStore, make_backend
 from repro.core import (
     MoCCheckpointManager,
     MoCConfig,
@@ -38,7 +38,8 @@ def build(tmp_path, pec=None, two_level=None, num_nodes=2):
         two_level=two_level or TwoLevelConfig(checkpoint_interval=2),
     )
     manager = MoCCheckpointManager(
-        model, optimizer, config, disk_root=str(tmp_path / "store"), num_nodes=num_nodes
+        model, optimizer, config,
+        disk_store=make_backend("sharded", str(tmp_path / "store")), num_nodes=num_nodes,
     )
     corpus = MarkovCorpus(vocab_size=TINY.vocab_size, num_domains=2, seq_len=12, seed=9)
     return model, optimizer, manager, corpus
@@ -318,7 +319,7 @@ class TestCodecIntegration:
             )
             manager = MoCCheckpointManager(
                 model, optimizer, config,
-                disk_root=str(tmp_path / label), codec=codec,
+                disk_store=make_backend("sharded", str(tmp_path / label)), codec=codec,
             )
             corpus = MarkovCorpus(vocab_size=TINY.vocab_size, num_domains=2,
                                   seq_len=12, seed=9)
@@ -347,7 +348,7 @@ class TestCodecIntegration:
             model, optimizer,
             MoCConfig(pec=PECConfig(k_snapshot=1, k_persist=1),
                       two_level=TwoLevelConfig(checkpoint_interval=2)),
-            disk_root=str(tmp_path), codec=codec,
+            disk_store=make_backend("sharded", str(tmp_path)), codec=codec,
         )
         manager.save_initial(0)
         assert codec.stats.raw_bytes > 0

@@ -27,6 +27,7 @@ from repro.ckpt import (
     ShardedDiskKVStore,
     SimulatedObjectStore,
     TieredBackend,
+    make_backend,
     open_tiered_root,
 )
 from repro.obs import (
@@ -494,7 +495,9 @@ class TestTracedPipeline:
             )
             with MoCCheckpointManager(
                 tiny_model, tiny_optimizer, config,
-                disk_root=str(tmp_path / "tier"), backend="tiered",
+                disk_store=make_backend(
+                    "tiered", str(tmp_path / "tier"), registry=observer.registry
+                ),
                 async_writes=True, observer=observer,
             ) as manager:
                 manager.save_initial(0)

@@ -46,6 +46,7 @@ from repro.ckpt import (
     chunk_payload,
     decode_chunk_file,
     encode_chunk_file,
+    make_backend,
     make_chunk_codec,
     serialize_entry,
 )
@@ -803,8 +804,10 @@ class TestManagerMeterInvariants:
             two_level=TwoLevelConfig(checkpoint_interval=1),
         )
         return model, optimizer, MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path),
-            backend="dedup", chunk_codec="zlib", parallel_workers=WORKERS,
+            model, optimizer, config,
+            disk_store=make_backend(
+                "dedup", str(tmp_path), codec="zlib", parallel_workers=WORKERS
+            ),
             **kwargs,
         )
 

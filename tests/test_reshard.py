@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.testing import TINY, params_equal, snapshot_params, train_steps
-from repro.ckpt import InMemoryKVStore, ShardedDiskKVStore
+from repro.ckpt import InMemoryKVStore, ShardedDiskKVStore, make_backend
 from repro.core import (
     MoCConfig,
     MoCCheckpointManager,
@@ -74,7 +74,8 @@ class TestTopologyMeta:
         optimizer = Adam(model.named_parameters(), lr=1e-2)
         topo = grid_topology(2, 2, gpus_per_node=2)
         manager = MoCCheckpointManager(
-            model, optimizer, full_config(), disk_root=str(tmp_path), topology=topo
+            model, optimizer, full_config(),
+            disk_store=make_backend("sharded", str(tmp_path)), topology=topo
         )
         manager.save_initial(0)
         assert load_saved_topology(manager.disk_store) == topo
@@ -83,7 +84,8 @@ class TestTopologyMeta:
         model = MoETransformerLM(TINY)
         optimizer = Adam(model.named_parameters(), lr=1e-2)
         manager = MoCCheckpointManager(
-            model, optimizer, full_config(), disk_root=str(tmp_path)
+            model, optimizer, full_config(),
+            disk_store=make_backend("sharded", str(tmp_path))
         )
         manager.save_initial(0)
         assert load_saved_topology(manager.disk_store) is None
@@ -216,8 +218,9 @@ class TestReshardedResumeBitExact:
         model = MoETransformerLM(TINY)
         optimizer = Adam(model.named_parameters(), lr=1e-2)
         manager = MoCCheckpointManager(
-            model, optimizer, full_config(), disk_root=str(tmp_path),
-            backend=backend, async_writes=async_writes, topology=source,
+            model, optimizer, full_config(),
+            disk_store=make_backend(backend, str(tmp_path)),
+            async_writes=async_writes, topology=source,
         )
         manager.save_initial(0)
         train_steps(model, optimizer, make_corpus(), 4)
@@ -240,8 +243,8 @@ class TestReshardedResumeBitExact:
         fresh = MoETransformerLM(TINY)
         fresh_opt = Adam(fresh.named_parameters(), lr=1e-2)
         resumed = MoCCheckpointManager(
-            fresh, fresh_opt, full_config(), disk_root=str(tmp_path),
-            backend=backend, topology=target,
+            fresh, fresh_opt, full_config(),
+            disk_store=make_backend(backend, str(tmp_path)), topology=target,
         )
         result = resumed.restore(topology=target, workers=4)
         assert result.resume_iteration == 4
@@ -270,8 +273,9 @@ class TestReshardedResumeBitExact:
         fresh = MoETransformerLM(TINY)
         fresh_opt = Adam(fresh.named_parameters(), lr=1e-2)
         resumed = MoCCheckpointManager(
-            fresh, fresh_opt, full_config(), disk_root=str(tmp_path),
-            backend="sharded", async_writes=True, topology=target,
+            fresh, fresh_opt, full_config(),
+            disk_store=make_backend("sharded", str(tmp_path)),
+            async_writes=True, topology=target,
         )
         resumed.restore(topology=target, workers=4)
         assert params_equal(saved, snapshot_params(fresh))
@@ -285,8 +289,8 @@ class TestReshardedResumeBitExact:
         fresh = MoETransformerLM(TINY)
         fresh_opt = Adam(fresh.named_parameters(), lr=1e-2)
         resumed = MoCCheckpointManager(
-            fresh, fresh_opt, full_config(), disk_root=str(tmp_path),
-            backend="sharded", topology=target,
+            fresh, fresh_opt, full_config(),
+            disk_store=make_backend("sharded", str(tmp_path)), topology=target,
         )
         resumed.restore(topology=target, workers=2)
         assert resumed.topology == target
@@ -311,8 +315,8 @@ class TestElasticResumeTraining:
             model = MoETransformerLM(TINY)
             optimizer = Adam(model.named_parameters(), lr=1e-2)
             manager = MoCCheckpointManager(
-                model, optimizer, full_config(), disk_root=str(root),
-                topology=topology,
+                model, optimizer, full_config(),
+                disk_store=make_backend("sharded", str(root)), topology=topology,
             )
             trainer = Trainer(
                 model, optimizer, make_corpus(),
@@ -329,7 +333,7 @@ class TestElasticResumeTraining:
             corpus=make_corpus(),
             moc_config=full_config(),
             trainer_config=TrainerConfig(total_iterations=16, batch_size=2),
-            disk_root=str(tmp_path / "job"),
+            store=make_backend("sharded", str(tmp_path / "job")),
             target_topology=target,
             restore_workers=4,
         )
@@ -347,7 +351,8 @@ class TestElasticResumeTraining:
         model = MoETransformerLM(TINY)
         optimizer = Adam(model.named_parameters(), lr=1e-2)
         manager = MoCCheckpointManager(
-            model, optimizer, full_config(), disk_root=str(tmp_path),
+            model, optimizer, full_config(),
+            disk_store=make_backend("sharded", str(tmp_path)),
             topology=grid_topology(2, 2, gpus_per_node=2),
         )
         manager.save_initial(0)
@@ -358,7 +363,7 @@ class TestElasticResumeTraining:
                 corpus=make_corpus(),
                 moc_config=full_config(),
                 trainer_config=TrainerConfig(total_iterations=12, batch_size=2),
-                disk_root=str(tmp_path),
+                store=make_backend("sharded", str(tmp_path)),
                 target_topology=ShardTopology(d_dp=3, d_ep=3),
             )
 
@@ -377,7 +382,8 @@ class TestWarmReshardRecovery:
             two_level=TwoLevelConfig(checkpoint_interval=2, two_level_recovery=True),
         )
         manager = MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), topology=source
+            model, optimizer, config,
+            disk_store=make_backend("sharded", str(tmp_path)), topology=source
         )
         manager.save_initial(0)
         train_steps(model, optimizer, make_corpus(), 2)
@@ -404,7 +410,8 @@ class TestWarmReshardRecovery:
             two_level=TwoLevelConfig(checkpoint_interval=2, two_level_recovery=True),
         )
         manager = MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), topology=source
+            model, optimizer, config,
+            disk_store=make_backend("sharded", str(tmp_path)), topology=source
         )
         manager.save_initial(0)
         train_steps(model, optimizer, make_corpus(), 2)
@@ -426,7 +433,8 @@ class TestRestorePipelineAlwaysRuns:
         model = MoETransformerLM(TINY)
         optimizer = Adam(model.named_parameters(), lr=1e-2)
         manager = MoCCheckpointManager(
-            model, optimizer, full_config(), disk_root=str(tmp_path)
+            model, optimizer, full_config(),
+            disk_store=make_backend("sharded", str(tmp_path))
         )
         manager.save_initial(0)
         train_steps(model, optimizer, make_corpus(), 2)

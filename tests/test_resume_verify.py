@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ckpt import make_backend
 from repro.testing import TINY, params_equal, snapshot_params
 from repro.core import (
     MoCConfig,
@@ -29,14 +30,16 @@ def corpus():
     return MarkovCorpus(vocab_size=TINY.vocab_size, num_domains=2, seq_len=12, seed=31)
 
 
-def run_job(tmp_path, total=10, interval=2, pec=None):
+def run_job(tmp_path, total=10, interval=2, pec=None, kind="sharded"):
     model = MoETransformerLM(TINY)
     optimizer = Adam(model.named_parameters(), lr=1e-2)
     moc = MoCConfig(
         pec=pec or PECConfig.full(TINY.num_experts),
         two_level=TwoLevelConfig(checkpoint_interval=interval),
     )
-    manager = MoCCheckpointManager(model, optimizer, moc, disk_root=str(tmp_path))
+    manager = MoCCheckpointManager(
+        model, optimizer, moc, disk_store=make_backend(kind, str(tmp_path))
+    )
     trainer = Trainer(
         model, optimizer, corpus(),
         TrainerConfig(total_iterations=total, batch_size=2),
@@ -49,22 +52,26 @@ def run_job(tmp_path, total=10, interval=2, pec=None):
 class TestLatestPersistedIteration:
     def test_reads_meta(self, tmp_path):
         run_job(tmp_path, total=10, interval=2)
-        assert latest_persisted_iteration(str(tmp_path)) == 10
+        assert latest_persisted_iteration(make_backend("sharded", str(tmp_path))) == 10
 
     def test_empty_store(self, tmp_path):
-        assert latest_persisted_iteration(str(tmp_path)) == -1
+        assert latest_persisted_iteration(make_backend("sharded", str(tmp_path))) == -1
 
 
 class TestResumeTraining:
-    def make_resumed(self, tmp_path, total_after=16, interval=2, pec=None):
-        model, _, moc, _ = run_job(tmp_path, total=10, interval=interval, pec=pec)
+    def make_resumed(self, tmp_path, total_after=16, interval=2, pec=None, kind="sharded"):
+        model, manager, moc, _ = run_job(
+            tmp_path, total=10, interval=interval, pec=pec, kind=kind
+        )
+        manager.close()
+        # A cold restart: the resumed job opens the root afresh.
         return model, resume_training(
             model_factory=lambda: MoETransformerLM(TINY),
             optimizer_factory=lambda m: Adam(m.named_parameters(), lr=1e-2),
             corpus=corpus(),
             moc_config=moc,
             trainer_config=TrainerConfig(total_iterations=total_after, batch_size=2),
-            disk_root=str(tmp_path),
+            store=make_backend(kind, str(tmp_path)),
         )
 
     def test_restores_persisted_state(self, tmp_path):
@@ -81,14 +88,17 @@ class TestResumeTraining:
                 corpus=corpus(),
                 moc_config=MoCConfig(),
                 trainer_config=TrainerConfig(total_iterations=5),
-                disk_root=str(tmp_path / "empty"),
+                store=make_backend("sharded", str(tmp_path / "empty")),
             )
 
-    def test_continue_run_matches_uninterrupted_job(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["sharded", "dedup", "tiered"])
+    def test_continue_run_matches_uninterrupted_job(self, tmp_path, kind):
         """10 iterations + cold restart + 6 more == 16 straight-through
-        iterations (full checkpointing, deterministic stream)."""
-        _, resumed = self.make_resumed(tmp_path, total_after=16)
+        iterations (full checkpointing, deterministic stream), on every
+        file-backed store."""
+        _, resumed = self.make_resumed(tmp_path / "job", total_after=16, kind=kind)
         history = continue_run(resumed)
+        resumed.manager.close()
         assert set(history.train_losses) == set(range(11, 17))
 
         reference_model = MoETransformerLM(TINY)
@@ -100,7 +110,7 @@ class TestResumeTraining:
                 reference_model, reference_opt,
                 MoCConfig(pec=PECConfig.full(TINY.num_experts),
                           two_level=TwoLevelConfig(checkpoint_interval=2)),
-                disk_root=str(tmp_path / "ref"),
+                disk_store=make_backend("sharded", str(tmp_path / "ref")),
             ),
         )
         reference.run()

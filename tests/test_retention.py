@@ -20,6 +20,7 @@ from repro.ckpt import (
     ShardedDiskKVStore,
     expected_entry_keys,
     expert_entry_key,
+    make_backend,
     meta_entry_key,
     non_expert_entry_key,
     prune_stale_entries,
@@ -184,7 +185,7 @@ class TestManagerIntegration:
                 pec=PECConfig(k_snapshot=1, k_persist=1),
                 two_level=TwoLevelConfig(checkpoint_interval=2),
             ),
-            disk_root=str(tmp_path),
+            disk_store=make_backend("sharded", str(tmp_path)),
         )
         corpus = MarkovCorpus(vocab_size=TINY.vocab_size, seq_len=12, seed=2)
         manager.save_initial(0)

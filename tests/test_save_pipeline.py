@@ -45,6 +45,7 @@ from repro.ckpt import (
     chunk_payload,
     deserialize_entry,
     entry_digest,
+    make_backend,
     serialize_entry,
     serialize_entry_frames,
     writable_entry,
@@ -154,18 +155,22 @@ class TestFrameIdentity:
         assert staged.tobytes() == before
 
 
+def tiny_manager(tmp_path, kind="sharded", **kwargs):
+    """A tiny model, its optimizer, and a manager checkpointing it to a
+    ``kind`` store under ``tmp_path`` every iteration."""
+    model, optimizer = tiny_model_and_optimizer(TINY)
+    config = MoCConfig(
+        pec=PECConfig(k_snapshot=2, k_persist=1),
+        two_level=TwoLevelConfig(checkpoint_interval=1),
+    )
+    return model, optimizer, MoCCheckpointManager(
+        model, optimizer, config,
+        disk_store=make_backend(kind, str(tmp_path)), **kwargs
+    )
+
+
 class TestMeterRegression:
     """Pin the pipeline's touch-each-byte-once property via counters."""
-
-    def _manager(self, tmp_path, **kwargs):
-        model, optimizer = tiny_model_and_optimizer(TINY)
-        config = MoCConfig(
-            pec=PECConfig(k_snapshot=2, k_persist=1),
-            two_level=TwoLevelConfig(checkpoint_interval=1),
-        )
-        return model, optimizer, MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), **kwargs
-        )
 
     def _run_checkpoints(self, model, optimizer, manager, iterations=(2, 4)):
         manager.save_initial(0)
@@ -183,8 +188,8 @@ class TestMeterRegression:
         manager.flush()
 
     def test_sync_dedup_delta_is_single_hash_pass_zero_copy(self, tmp_path):
-        model, optimizer, manager = self._manager(
-            tmp_path, backend="dedup", delta_saves=True
+        model, optimizer, manager = tiny_manager(
+            tmp_path, kind="dedup", delta_saves=True
         )
         with manager:
             self._run_checkpoints(model, optimizer, manager)
@@ -200,7 +205,7 @@ class TestMeterRegression:
             assert profile.copy_passes == 0.0
 
     def test_sync_sharded_no_delta_never_hashes(self, tmp_path):
-        model, optimizer, manager = self._manager(tmp_path, backend="sharded")
+        model, optimizer, manager = tiny_manager(tmp_path)
         with manager:
             self._run_checkpoints(model, optimizer, manager)
             meters = manager.pipeline_meters.snapshot()
@@ -209,8 +214,8 @@ class TestMeterRegression:
         assert meters["bytes_copied"] == 0
 
     def test_async_stages_exactly_one_copy_per_persisted_byte(self, tmp_path):
-        model, optimizer, manager = self._manager(
-            tmp_path, backend="sharded", async_writes=True
+        model, optimizer, manager = tiny_manager(
+            tmp_path, async_writes=True
         )
         with manager:
             self._run_checkpoints(model, optimizer, manager)
@@ -224,8 +229,8 @@ class TestMeterRegression:
     def test_async_dedup_delta_still_single_hash_pass(self, tmp_path):
         # The staged copy carries the digest cache, so the worker-side
         # dedup store reuses the caller-side sweep across threads.
-        model, optimizer, manager = self._manager(
-            tmp_path, backend="dedup", delta_saves=True, async_writes=True
+        model, optimizer, manager = tiny_manager(
+            tmp_path, kind="dedup", delta_saves=True, async_writes=True
         )
         with manager:
             self._run_checkpoints(model, optimizer, manager)
@@ -234,8 +239,8 @@ class TestMeterRegression:
             assert meters["bytes_copied"] == manager.disk_store.bytes_written
 
     def test_delta_skips_are_hashed_but_not_written(self, tmp_path):
-        model, optimizer, manager = self._manager(
-            tmp_path, backend="dedup", delta_saves=True
+        model, optimizer, manager = tiny_manager(
+            tmp_path, kind="dedup", delta_saves=True
         )
         with manager:
             manager.save_initial(0)
@@ -416,31 +421,105 @@ class TestZeroCopyReads:
         assert guarded["a"] is not mixed["a"]
         assert guarded["b"] is own  # already writable: passed through
 
-    def test_recovery_through_zero_copy_restore_binds_fresh_frozen_arrays(self, tmp_path):
-        model, optimizer = tiny_model_and_optimizer(TINY)
-        config = MoCConfig(
-            pec=PECConfig(k_snapshot=2, k_persist=1),
-            two_level=TwoLevelConfig(checkpoint_interval=1),
-        )
-        with MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), backend="sharded"
-        ) as manager:
+    def test_recovery_through_zero_copy_restore_binds_frozen_arrays(self, tmp_path):
+        model, optimizer, manager = tiny_manager(tmp_path)
+        with manager:
             manager.save_initial(0)
             result = manager.recover(failed_nodes=[0], restore_workers=2)
             assert result.resume_iteration == 0
-            # Restored state is bound like trained state: arrays of its
-            # own (never views over a store's buffers), read-only, and
+            # Restored state is bound like trained state: read-only, and
             # a training-style update rebinds every slot.
             for name, param in model.named_parameters():
                 state = optimizer.state[name]
                 for array in (param.data, state.master, state.m, state.v):
-                    assert array.flags.owndata and not array.flags.writeable
+                    assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     state.m *= 0.5
                 optimizer.bind(
                     name, param.data + 1.0, master=state.master + 1.0,
                     m=state.m * 0.5, v=state.v * 0.5,
                 )
+
+    @staticmethod
+    def _record_reads(store, monkeypatch, transform=lambda entry: entry):
+        """The state entries ``store.get`` returns from now on, by key,
+        each passed through ``transform`` first."""
+        fetched = {}
+        get = store.get
+
+        def recording_get(key, copy=True):
+            entry = transform(get(key, copy=copy))
+            if parse_entry_key(key)[0] != "meta":
+                fetched[key] = entry
+            return entry
+
+        monkeypatch.setattr(store, "get", recording_get)
+        return fetched
+
+    @staticmethod
+    def _shared(optimizer, key, entry):
+        """Per bound array of ``key``: does it share memory with the
+        fetched field?"""
+        return {
+            field: np.shares_memory(bound, entry[field])
+            for field, bound in bound_arrays(optimizer, key).items()
+        }
+
+    def test_recovery_binds_immutable_aligned_entries_by_reference(
+        self, tmp_path, monkeypatch
+    ):
+        def over_bytes(entry):
+            # each field a read-only view over a ``bytes`` of its own
+            return {
+                name: np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+                for name, array in entry.items()
+            }
+
+        model, optimizer, manager = tiny_manager(tmp_path)
+        with manager:
+            manager.save_initial(0)
+            fetched = self._record_reads(manager.disk_store, monkeypatch, over_bytes)
+            retained = self._record_reads(manager.memory_store, monkeypatch)
+            manager.recover(failed_nodes=[0])
+            assert fetched and retained
+            for reads in (fetched, retained):
+                for key, entry in reads.items():
+                    assert all(array.flags.aligned for array in entry.values())
+                    assert all(self._shared(optimizer, key, entry).values()), key
+
+    def test_recovery_copies_every_field_of_an_entry_with_an_unaligned_one(
+        self, tmp_path, monkeypatch
+    ):
+        # The payload format packs fields unpadded, so some fields of a
+        # sharded entry sit at odd offsets; binding the aligned rest
+        # would pin the buffer under the copied ones.
+        model, optimizer, manager = tiny_manager(tmp_path)
+        with manager:
+            manager.save_initial(0)
+            fetched = self._record_reads(manager.disk_store, monkeypatch)
+            manager.recover(failed_nodes=[0, 1])
+            mixed = 0
+            for key, entry in fetched.items():
+                aligned = {array.flags.aligned for array in entry.values()}
+                if False in aligned:
+                    mixed += True in aligned
+                    assert not any(self._shared(optimizer, key, entry).values()), key
+            assert mixed
+
+    def test_recovery_copies_writable_fetched_arrays(self, tmp_path, monkeypatch):
+        model, optimizer, manager = tiny_manager(tmp_path)
+        with manager:
+            manager.save_initial(0)
+            fetched = self._record_reads(
+                manager.disk_store, monkeypatch,
+                lambda entry: {name: np.array(array) for name, array in entry.items()},
+            )
+            manager.recover(failed_nodes=[0, 1])
+            assert fetched
+            for key, entry in fetched.items():
+                assert not any(self._shared(optimizer, key, entry).values()), key
+                # the bind froze its own copies, not the caller's arrays
+                assert all(array.flags.writeable for array in entry.values())
 
 
 def bound_arrays(optimizer, key: str) -> dict:
@@ -461,16 +540,6 @@ def bound_arrays(optimizer, key: str) -> dict:
 
 
 class TestCheckpointByReference:
-    def _manager(self, tmp_path, **kwargs):
-        model, optimizer = tiny_model_and_optimizer(TINY)
-        config = MoCConfig(
-            pec=PECConfig(k_snapshot=2, k_persist=1),
-            two_level=TwoLevelConfig(checkpoint_interval=1),
-        )
-        return model, optimizer, MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path), **kwargs
-        )
-
     @staticmethod
     def _state_records(manifest):
         return [
@@ -487,7 +556,7 @@ class TestCheckpointByReference:
                 assert np.shares_memory(retained[field], bound), (record.entry_key, field)
 
     def test_sync_checkpoint_retains_the_optimizers_arrays(self, tmp_path):
-        model, optimizer, manager = self._manager(tmp_path)
+        model, optimizer, manager = tiny_manager(tmp_path)
         with manager:
             manager.save_initial(0)
             corpus = MarkovCorpus(vocab_size=TINY.vocab_size, seq_len=TINY.max_seq_len)
@@ -502,7 +571,7 @@ class TestCheckpointByReference:
     def test_next_checkpoint_after_recover_still_retains_bound_arrays(self, tmp_path):
         # Recovery rebinds every parameter from restored copies; unless
         # the optimizer froze them, the snapshot tier would copy them.
-        _model, _optimizer, manager = self._manager(tmp_path)
+        _model, _optimizer, manager = tiny_manager(tmp_path)
         with manager:
             manager.save_initial(0)
             manager.recover(failed_nodes=[0, 1])
@@ -517,7 +586,7 @@ class TestCheckpointByReference:
                 encoded.extend(out.values())
                 return out
 
-        _model, _optimizer, manager = self._manager(tmp_path, codec=RecordingCodec())
+        _model, _optimizer, manager = tiny_manager(tmp_path, codec=RecordingCodec())
         with manager:
             manifest = manager.save_initial(0)
             produced = {id(array) for array in encoded}

@@ -487,8 +487,10 @@ class TestIntegration:
             two_level=TwoLevelConfig(checkpoint_interval=2),
         )
         manager = MoCCheckpointManager(
-            model, optimizer, config, disk_root=str(tmp_path),
-            backend="tiered", remote_fault_rate=0.3, upload_workers=2,
+            model, optimizer, config,
+            disk_store=make_backend(
+                "tiered", str(tmp_path), remote_fault_rate=0.3, upload_workers=2
+            ),
         )
         manager.save_initial(0)
         counts = [np.full(4, 2)] * manager.num_moe_layers

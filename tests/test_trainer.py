@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ckpt import make_backend
 from repro.testing import TINY, params_equal, snapshot_params
 from repro.core import MoCConfig, MoCCheckpointManager, PECConfig, TwoLevelConfig
 from repro.models import Adam, MoETransformerLM
@@ -27,7 +28,8 @@ def build_trainer(tmp_path, total=10, interval=3, faults=None, pec=None):
         two_level=TwoLevelConfig(checkpoint_interval=interval),
     )
     manager = MoCCheckpointManager(
-        model, optimizer, config, disk_root=str(tmp_path / "store")
+        model, optimizer, config,
+        disk_store=make_backend("sharded", str(tmp_path / "store")),
     )
     trainer = Trainer(
         model,
