@@ -153,18 +153,8 @@ def compute_matrix(tmpdir: str) -> dict:
     return matrix
 
 
-def test_dedup_bytes_microbench(benchmark, report, report_json, tmp_path):
+def test_dedup_bytes_microbench(benchmark, report, tmp_path):
     matrix = once(benchmark, lambda: compute_matrix(str(tmp_path)))
-    report_json("dedup_bytes", {
-        workload: {
-            kind: {
-                metric: run[metric]
-                for metric in ("bytes_per_ckpt", "save_ms", "skipped", "logical")
-            }
-            for kind, run in runs.items()
-        }
-        for workload, runs in matrix.items()
-    })
     lines = []
     for workload, runs in matrix.items():
         full = runs["full"]["bytes_per_ckpt"]

@@ -1,35 +1,27 @@
-"""Shared bench fixtures: result reporting and experiment sizing.
+"""Shared bench fixtures: result reporting.
 
 Every bench regenerates one of the paper's tables or figures.  Output
 goes both to stdout (run with ``-s`` to watch) and to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference stable
-artifacts.  ``benchmark.pedantic(..., rounds=1)`` registers wall-time
-per experiment without re-running the (deterministic) workload.
+``<pytest basetemp>/results/<name>.txt``, so a run never rewrites the
+tables committed under ``benchmarks/results/``; copy a table there on
+purpose to refresh it.  Pass ``--basetemp DIR`` to choose where the
+results land.  ``benchmark.pedantic(..., rounds=1)`` registers
+wall-time per experiment without re-running the (deterministic)
+workload.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--json",
-        action="store_true",
-        default=False,
-        help="also echo machine-readable BENCH_*.json payloads to stdout",
-    )
-
 
 @pytest.fixture(scope="session")
-def results_dir() -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("results", numbered=False))
+    print(f"\nbenchmark results: {path}")
+    return path
 
 
 @pytest.fixture
@@ -40,35 +32,7 @@ def report(results_dir):
         path = os.path.join(results_dir, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        print(f"\n=== {name} ===\n{text}\n")
+        print(f"\n=== {name} ({path}) ===\n{text}\n")
         return path
 
     return _report
-
-
-@pytest.fixture
-def report_json(results_dir, request):
-    """Write a machine-readable companion report.
-
-    ``BENCH_<name>.json`` lands next to the ``.txt`` tables so the perf
-    trajectory is trackable across PRs (CI uploads ``results/`` as an
-    artifact and the perf-smoke job diffs against the committed
-    baseline).  With ``--json`` the payload is echoed to stdout too.
-    """
-
-    def _report_json(name: str, payload: dict) -> str:
-        path = os.path.join(results_dir, f"BENCH_{name}.json")
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        mirror_bench_json(path)
-        if request.config.getoption("--json"):
-            print(f"\n=== BENCH_{name}.json ===\n{text}\n")
-        return path
-
-    return _report_json
-
-
-# Re-exported for any remaining `from conftest import once` users; the
-# canonical home is repro.testing (immune to conftest module shadowing).
-from repro.testing import mirror_bench_json, once  # noqa: E402,F401

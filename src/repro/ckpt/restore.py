@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -242,10 +242,3 @@ class ParallelRestorer:
             wall_seconds=wall,
             profile=recorder.profile(),
         )
-
-
-def fetch_entries(
-    requests: Sequence[ReadRequest], workers: int = 1, copy: bool = True
-) -> Tuple[Dict[str, Dict[str, np.ndarray]], RestoreStats]:
-    """Convenience wrapper: one-shot parallel fetch."""
-    return ParallelRestorer(workers=workers, copy=copy).fetch(requests)

@@ -74,14 +74,12 @@ class PipelineMeters:
     memcpy'd (async staging snapshots, materializations).  The save
     pipeline's regression tests pin ``bytes_hashed == bytes_serialized``
     (one hash pass) and one staging copy per persisted byte — counters,
-    not assumptions.
+    not assumptions.  Read them with :meth:`snapshot`.
 
     The counters live in a :class:`repro.obs.metrics.MetricsRegistry`
     (a private one by default; pass ``registry=`` to share — the
     manager passes its observer's registry, so a ``--metrics-dump``
-    exposes every pinned invariant straight from the registry).  The
-    historical attribute/``snapshot()`` API is preserved as a shim over
-    the registry counters.
+    exposes every pinned invariant straight from the registry).
 
     The upload counters (``bytes_uploaded``/``upload_retries``) are the
     *single source of truth* for the tiered backend: attaching these
@@ -95,105 +93,60 @@ class PipelineMeters:
     asserting exact totals.
     """
 
-    _FIELD_COUNTERS = {
-        "bytes_serialized": "moc_pipeline_bytes_serialized_total",
-        "bytes_hashed": "moc_pipeline_bytes_hashed_total",
-        "bytes_copied": "moc_pipeline_bytes_copied_total",
-        "bytes_compressed": "moc_pipeline_bytes_compressed_total",
-        "bytes_compressed_out": "moc_pipeline_bytes_compressed_out_total",
-        "entries_serialized": "moc_pipeline_entries_serialized_total",
-        "bytes_uploaded": "moc_tier_bytes_uploaded_total",
-        "upload_retries": "moc_tier_upload_retries_total",
+    #: snapshot field -> (registry counter name, help text)
+    _COUNTERS = {
+        "bytes_serialized": (
+            "moc_pipeline_bytes_serialized_total",
+            "Payload bytes represented as frames (headers included)",
+        ),
+        "bytes_hashed": ("moc_pipeline_bytes_hashed_total", "Bytes fed through SHA-256"),
+        "bytes_copied": (
+            "moc_pipeline_bytes_copied_total",
+            "Bytes memcpy'd (staging snapshots, materializations)",
+        ),
+        "bytes_compressed": (
+            "moc_pipeline_bytes_compressed_total", "Raw bytes fed through the chunk codec"
+        ),
+        "bytes_compressed_out": (
+            "moc_pipeline_bytes_compressed_out_total", "Encoded bytes the chunk codec produced"
+        ),
+        "entries_serialized": ("moc_pipeline_entries_serialized_total", "Entries serialized"),
+        "bytes_uploaded": (
+            "moc_tier_bytes_uploaded_total",
+            "Bytes uploaded to the remote tier (single source of truth)",
+        ),
+        "upload_retries": (
+            "moc_tier_upload_retries_total", "Retried (backed-off) remote-tier upload attempts"
+        ),
     }
 
     def __init__(self, registry: Optional["MetricsRegistry"] = None) -> None:
         if registry is None:
             registry = MetricsRegistry()
         self.registry = registry
-        self._bytes_serialized = registry.counter(
-            "moc_pipeline_bytes_serialized_total",
-            "Payload bytes represented as frames (headers included)",
-        )
-        self._bytes_hashed = registry.counter(
-            "moc_pipeline_bytes_hashed_total", "Bytes fed through SHA-256"
-        )
-        self._bytes_copied = registry.counter(
-            "moc_pipeline_bytes_copied_total",
-            "Bytes memcpy'd (staging snapshots, materializations)",
-        )
-        self._bytes_compressed = registry.counter(
-            "moc_pipeline_bytes_compressed_total",
-            "Raw bytes fed through the chunk codec",
-        )
-        self._bytes_compressed_out = registry.counter(
-            "moc_pipeline_bytes_compressed_out_total",
-            "Encoded bytes the chunk codec produced",
-        )
-        self._entries_serialized = registry.counter(
-            "moc_pipeline_entries_serialized_total", "Entries serialized"
-        )
-        self._bytes_uploaded = registry.counter(
-            "moc_tier_bytes_uploaded_total",
-            "Bytes uploaded to the remote tier (single source of truth)",
-        )
-        self._upload_retries = registry.counter(
-            "moc_tier_upload_retries_total",
-            "Retried (backed-off) remote-tier upload attempts",
-        )
-
-    # Attribute shim: the meters predate the registry, and tests read
-    # these names directly.
-    @property
-    def bytes_serialized(self) -> int:
-        return int(self._bytes_serialized.value)
-
-    @property
-    def bytes_hashed(self) -> int:
-        return int(self._bytes_hashed.value)
-
-    @property
-    def bytes_copied(self) -> int:
-        return int(self._bytes_copied.value)
-
-    @property
-    def bytes_compressed(self) -> int:
-        return int(self._bytes_compressed.value)
-
-    @property
-    def bytes_compressed_out(self) -> int:
-        return int(self._bytes_compressed_out.value)
-
-    @property
-    def entries_serialized(self) -> int:
-        return int(self._entries_serialized.value)
-
-    @property
-    def bytes_uploaded(self) -> int:
-        return int(self._bytes_uploaded.value)
-
-    @property
-    def upload_retries(self) -> int:
-        return int(self._upload_retries.value)
+        self._counters = {
+            field: registry.counter(name, help)
+            for field, (name, help) in self._COUNTERS.items()
+        }
 
     def upload_counters(self):
         """The (bytes_uploaded, upload_retries) counter objects.
 
         :class:`~repro.ckpt.tiered.TieredBackend` adopts these as its
         own accumulators when meters are attached — one source of truth
-        for upload totals instead of the old private-int + meter
-        double-count.
+        for upload totals.
         """
-        return self._bytes_uploaded, self._upload_retries
+        return self._counters["bytes_uploaded"], self._counters["upload_retries"]
 
     def count_serialized(self, nbytes: int) -> None:
-        self._bytes_serialized.inc(nbytes)
-        self._entries_serialized.inc()
+        self._counters["bytes_serialized"].inc(nbytes)
+        self._counters["entries_serialized"].inc()
 
     def count_hashed(self, nbytes: int) -> None:
-        self._bytes_hashed.inc(nbytes)
+        self._counters["bytes_hashed"].inc(nbytes)
 
     def count_copied(self, nbytes: int) -> None:
-        self._bytes_copied.inc(nbytes)
+        self._counters["bytes_copied"].inc(nbytes)
 
     def count_compressed(self, raw_nbytes: int, encoded_nbytes: int) -> None:
         """Record one codec pass: ``raw_nbytes`` in, ``encoded_nbytes`` out.
@@ -201,23 +154,16 @@ class PipelineMeters:
         ``bytes_compressed`` counts raw bytes fed through the chunk
         codec (the "≤1 compression pass per persisted byte" invariant
         meters this against ``bytes_serialized``); the ``_out`` counter
-        is what actually hit the wire, so ratio = in/out.  Worker
-        processes report their per-task counts back over the result
-        queue and the engine folds them in here — the invariant survives
-        the process boundary because it is metered, not assumed.
+        is what actually hit the wire, so ratio = in/out.  The encode loop
+        folds each payload's counts in here once every body is back, so
+        the invariant holds however the work is split across codec
+        threads.
         """
-        self._bytes_compressed.inc(raw_nbytes)
-        self._bytes_compressed_out.inc(encoded_nbytes)
-
-    def count_uploaded(self, nbytes: int) -> None:
-        """Record one completed remote-tier upload of ``nbytes``."""
-        self._bytes_uploaded.inc(nbytes)
+        self._counters["bytes_compressed"].inc(raw_nbytes)
+        self._counters["bytes_compressed_out"].inc(encoded_nbytes)
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            field: int(getattr(self, "_" + field).value)
-            for field in self._FIELD_COUNTERS
-        }
+        return {field: int(counter.value) for field, counter in self._counters.items()}
 
 
 def _array_data(array: np.ndarray) -> Frame:

@@ -481,10 +481,8 @@ class TieredBackend(CheckpointBackend):
     def meters(self, value: Optional[object]) -> None:
         """Attach pipeline meters — and adopt their upload counters.
 
-        The old seam double-counted: ``_upload_once`` bumped a private
-        int *and* called ``meters.count_uploaded()``.  Now attaching
-        meters swaps the tier's upload byte/retry counters for the
-        meters' own registry counters (carrying over anything already
+        Attaching meters swaps the tier's upload byte/retry counters for
+        the meters' own registry counters (carrying over anything already
         accumulated), so there is exactly one accumulator per total no
         matter who reads it.
         """

@@ -336,189 +336,3 @@ def persist_file_bytes(
         return spec.full_checkpoint_bytes()
     return spec.pec_checkpoint_bytes(k_persist)
 
-
-def pec_local_hit_fraction(
-    num_experts: int, k_persist: int, local_keep_stamps: int
-) -> float:
-    """Share of a restore served by a keep-last-k local tier under PEC.
-
-    PEC's round-robin selection persists ``k_persist`` of
-    ``num_experts`` experts per checkpoint, so the latest durable
-    version of the full population spans the most recent
-    ``ceil(E / K)`` checkpoint stamps.  A two-level store that keeps
-    the newest ``local_keep_stamps`` stamps on its local tier therefore
-    serves ``min(keep, span) / span`` of the restored expert entries
-    locally — the rest fall through to the remote tier.  Growing either
-    ``k_persist`` (shrinking the span) or ``local_keep_stamps`` widens
-    local coverage, which is the Figure 15(a) mechanism: more of the
-    recovery set resident on the fast tier.
-    """
-    import math
-
-    if num_experts < 1 or k_persist < 1:
-        raise ValueError("num_experts and k_persist must be >= 1")
-    if local_keep_stamps < 0:
-        raise ValueError("local_keep_stamps must be >= 0")
-    span = math.ceil(num_experts / min(k_persist, num_experts))
-    return min(local_keep_stamps, span) / span
-
-
-@dataclass(frozen=True)
-class TwoTierRecoveryCost:
-    """Restore cost from a two-level (local cache + remote object) store.
-
-    Mirrors :class:`~repro.ckpt.tiered.TieredBackend`: entries still
-    resident on the local tier stream back at the node's storage
-    bandwidth; evicted entries are fetched from the remote object tier,
-    paying its per-request latency and (narrower) bandwidth, with
-    transient faults retried — a fault rate ``p`` inflates each
-    request's expected attempts to ``1 / (1 - p)``, and every retry
-    re-transfers its payload.  ``remote_only_seconds`` is the
-    storage-only baseline (everything from remote), so the Figure 15(a)
-    comparison falls out directly: two-level recovery is never slower,
-    and widening local coverage drives its cost toward the local-tier
-    floor while the baseline stays flat.
-    """
-
-    total_bytes: int
-    local_bytes: int
-    remote_bytes: int
-    remote_read_ops: int
-    expected_remote_attempts: float  # per-request retry multiplier
-    local_seconds: float
-    remote_seconds: float
-    remote_only_seconds: float  # baseline: the whole restore from remote
-
-    @property
-    def recovery_seconds(self) -> float:
-        """Two-level restore wall time (tiers drain sequentially)."""
-        return self.local_seconds + self.remote_seconds
-
-    @property
-    def local_fraction(self) -> float:
-        return self.local_bytes / self.total_bytes if self.total_bytes else 1.0
-
-    @property
-    def speedup_vs_remote_only(self) -> float:
-        if self.recovery_seconds <= 0:
-            return 1.0
-        return self.remote_only_seconds / self.recovery_seconds
-
-
-def two_tier_recovery_cost(
-    spec: MoEModelSpec,
-    cluster: ClusterSpec,
-    local_hit_fraction: float,
-    k_persist: Optional[int] = None,
-    remote_bandwidth: Optional[float] = None,
-    remote_latency: float = 0.05,
-    remote_fault_rate: float = 0.0,
-    hedge_latency_factor: float = 1.0,
-) -> TwoTierRecoveryCost:
-    """Cost one recovery of ``spec`` from a two-level persist tier.
-
-    ``local_hit_fraction`` is the share of restored bytes (and read
-    requests) still resident on the local tier — compute it from a
-    retention policy with :func:`pec_local_hit_fraction`, or pass a
-    measured value.  ``remote_bandwidth`` defaults to an order of
-    magnitude below the node's storage link, the usual NVMe-vs-object
-    store gap; ``hedge_latency_factor`` scales the effective remote
-    latency to credit hedged reads for clipping the slow tail
-    (``1.0`` = no hedging benefit, ``0.5`` = tail halved).
-    """
-    if not 0.0 <= local_hit_fraction <= 1.0:
-        raise ValueError("local_hit_fraction must be in [0, 1]")
-    if not 0.0 <= remote_fault_rate < 1.0:
-        raise ValueError("remote_fault_rate must be in [0, 1)")
-    if remote_latency < 0 or hedge_latency_factor < 0:
-        raise ValueError("remote_latency and hedge_latency_factor must be >= 0")
-    total = (
-        spec.full_checkpoint_bytes()
-        if k_persist is None
-        else spec.pec_checkpoint_bytes(min(k_persist, spec.num_experts))
-    )
-    selected = spec.num_experts if k_persist is None else min(k_persist, spec.num_experts)
-    entries = len(spec.non_expert_param_items()) + spec.num_moe_layers * selected * 2
-    local_bandwidth = cluster.storage_bandwidth_per_node
-    if remote_bandwidth is None:
-        remote_bandwidth = local_bandwidth / 10.0
-    if remote_bandwidth <= 0 or local_bandwidth <= 0:
-        raise ValueError("bandwidths must be positive")
-    local_bytes = int(round(total * local_hit_fraction))
-    remote_bytes = total - local_bytes
-    remote_ops = int(round(entries * (1.0 - local_hit_fraction)))
-    attempts = 1.0 / (1.0 - remote_fault_rate)
-    effective_latency = remote_latency * hedge_latency_factor
-
-    def remote_seconds_for(nbytes: int, ops: int) -> float:
-        # Retries re-issue the request (latency) and re-pull the payload
-        # (bandwidth), so both terms carry the attempt multiplier.
-        return attempts * (nbytes / remote_bandwidth + ops * effective_latency)
-
-    return TwoTierRecoveryCost(
-        total_bytes=total,
-        local_bytes=local_bytes,
-        remote_bytes=remote_bytes,
-        remote_read_ops=remote_ops,
-        expected_remote_attempts=attempts,
-        local_seconds=local_bytes / local_bandwidth,
-        remote_seconds=remote_seconds_for(remote_bytes, remote_ops),
-        remote_only_seconds=remote_seconds_for(total, entries),
-    )
-
-
-@dataclass(frozen=True)
-class TwoTierUploadWindow:
-    """Steady-state drain model for the write-back upload pipeline.
-
-    The remote-tier analogue of :class:`AsyncWriteWindow`: each
-    checkpoint's persisted bytes land on the local tier and return, and
-    the background pipeline must push them to the remote object store
-    before the next checkpoint arrives — otherwise the upload backlog
-    (and the window in which a local-tier loss forfeits data) grows
-    without bound.
-    """
-
-    upload_seconds: float  # expected drain time for one checkpoint
-    window_seconds: float  # compute time between checkpoints
-    backlog_growth_bytes: int  # bytes left pending per interval (0 = keeps up)
-    expected_attempts: float
-
-
-def two_tier_upload_window(
-    persist_bytes: int,
-    upload_ops: int,
-    iteration_seconds: float,
-    checkpoint_interval: int,
-    remote_bandwidth: float,
-    remote_latency: float = 0.05,
-    remote_fault_rate: float = 0.0,
-    upload_workers: int = 1,
-) -> TwoTierUploadWindow:
-    """Can the upload pipeline drain a checkpoint before the next one?
-
-    Concurrent upload workers pipeline request latency but share the
-    remote link's bandwidth, mirroring the restore model; transient
-    faults multiply expected attempts by ``1 / (1 - p)``.
-    """
-    if iteration_seconds <= 0 or checkpoint_interval < 1:
-        raise ValueError("iteration_seconds/checkpoint_interval must be positive")
-    if not 0.0 <= remote_fault_rate < 1.0:
-        raise ValueError("remote_fault_rate must be in [0, 1)")
-    if remote_bandwidth <= 0 or upload_workers < 1:
-        raise ValueError("remote_bandwidth and upload_workers must be positive")
-    attempts = 1.0 / (1.0 - remote_fault_rate)
-    upload = attempts * (
-        persist_bytes / remote_bandwidth
-        + (upload_ops / upload_workers) * remote_latency
-    )
-    window = checkpoint_interval * iteration_seconds
-    growth = 0
-    if upload > window and upload > 0:
-        growth = int(round(persist_bytes * (upload - window) / upload))
-    return TwoTierUploadWindow(
-        upload_seconds=upload,
-        window_seconds=window,
-        backlog_growth_bytes=growth,
-        expected_attempts=attempts,
-    )

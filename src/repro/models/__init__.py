@@ -16,7 +16,6 @@ from .serial import (
     ExpertKey,
     classify_parameters,
     expert_param_names,
-    model_state_entry,
     non_expert_param_names,
     parameter_counts,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "classify_parameters",
     "expert_param_names",
     "gradient_check",
-    "model_state_entry",
     "non_expert_param_names",
     "parameter_counts",
 ]

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
 
 # Matches e.g. "blocks.3.moe.experts.5.fc_in.weight" (LM) and
 # "moes.1.experts.7.fc_out.bias" (classifier).
@@ -97,17 +96,6 @@ def non_expert_param_names(model) -> List[str]:
     return sorted(
         cls.name for cls in classify_parameters(model).values() if not cls.is_expert
     )
-
-
-def model_state_entry(optimizer, name: str) -> Dict[str, np.ndarray]:
-    """Extract the full (weights + optimizer) entry for one parameter."""
-    state = optimizer.state[name]
-    return {
-        "master": state.master.copy(),
-        "m": state.m.copy(),
-        "v": state.v.copy(),
-        "step": np.asarray(state.step),
-    }
 
 
 def parameter_counts(model) -> Tuple[int, int]:

@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "Observer",
     "Tracer",
-    "default_observer",
     "get_registry",
     "get_tracer",
     "span",
@@ -50,15 +49,10 @@ class Observer:
     """A (registry, tracer) pair handed to managers and backends.
 
     The default constructor yields *private* instances — useful for
-    tests that must not see metrics from other components.  Use
-    :func:`default_observer` to bind to the process-wide singletons
-    (what the CLI does).
+    tests that must not see metrics from other components.  Pass
+    :func:`get_registry` / :func:`get_tracer` to bind to the
+    process-wide singletons (the CLI binds the global tracer).
     """
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: Tracer = field(default_factory=Tracer)
-
-
-def default_observer() -> Observer:
-    """The process-wide observer: global registry + global tracer."""
-    return Observer(registry=get_registry(), tracer=get_tracer())

@@ -60,27 +60,6 @@ def once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def mirror_bench_json(path: str) -> str:
-    """Mirror a ``benchmarks/results/BENCH_*.json`` to the repo root.
-
-    ``benchmarks/results/`` stays the source of truth; the repo-root
-    ``BENCH_*.json`` copies exist so perf trajectories are visible from
-    the top of the tree (and in diffs) without digging into the bench
-    directory.  Called by the bench conftest and the standalone
-    perf-smoke entry points, so a refreshed measurement refreshes the
-    mirror too.  Returns the mirror path.
-    """
-    import os
-    import shutil
-
-    path = os.path.abspath(path)
-    # <repo>/benchmarks/results/BENCH_x.json -> <repo>/BENCH_x.json
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(path)))
-    mirror = os.path.join(repo_root, os.path.basename(path))
-    shutil.copyfile(path, mirror)
-    return mirror
-
-
 # ---------------------------------------------------------------------------
 # Seeded random-case generation for property-based tests (no extra deps).
 #

@@ -376,12 +376,12 @@ class TestStorageIntegration:
         meters = PipelineMeters()
         store.meters = meters
         # carried over, not lost, not doubled
-        assert meters.bytes_uploaded == pre_bytes
+        assert meters.snapshot()["bytes_uploaded"] == pre_bytes
         store.put("b", entry(2.0), stamp=1)
         store.flush()
         stats = store.tier_stats()
-        assert meters.bytes_uploaded == stats["bytes_uploaded"]
-        assert meters.upload_retries == stats["upload_retries"]
+        assert meters.snapshot()["bytes_uploaded"] == stats["bytes_uploaded"]
+        assert meters.snapshot()["upload_retries"] == stats["upload_retries"]
         # registry snapshot sees the same totals (readable "from the
         # registry alone")
         snap = meters.registry.snapshot()
@@ -396,7 +396,7 @@ class TestStorageIntegration:
         uploaded = store.tier_stats()["bytes_uploaded"]
         meters = PipelineMeters(registry=registry)
         store.meters = meters  # same counter objects: no value transfer
-        assert meters.bytes_uploaded == uploaded
+        assert meters.snapshot()["bytes_uploaded"] == uploaded
         assert store.tier_stats()["bytes_uploaded"] == uploaded
         store.close()
 
@@ -523,7 +523,7 @@ class TestTracedPipeline:
         assert snap["moc_pipeline_bytes_hashed_total"] == \
             snap["moc_pipeline_bytes_serialized_total"]
         tier_stats_bytes = snap["moc_tier_bytes_uploaded_total"]
-        assert tier_stats_bytes == manager.pipeline_meters.bytes_uploaded
+        assert tier_stats_bytes == manager.pipeline_meters.snapshot()["bytes_uploaded"]
         # save/recover latency histograms observed
         kinds = observer.registry.kinds()
         assert kinds["moc_save_seconds_count"] == "histogram"

@@ -130,10 +130,10 @@ class TestEngineDigests:
         payload = frames_of(compressible_entry(), meters)
         engine = ParallelChunkEngine(WORKERS)
         first = engine.chunk_digests([payload], CHUNK)
-        assert meters.bytes_hashed == payload.nbytes  # exactly one sweep
+        assert meters.snapshot()["bytes_hashed"] == payload.nbytes  # exactly one sweep
         # second ask is a cache hit: no rehash
         assert engine.chunk_digests([payload], CHUNK) == first
-        assert meters.bytes_hashed == payload.nbytes
+        assert meters.snapshot()["bytes_hashed"] == payload.nbytes
 
     def test_cached_delta_save_digests_skip_the_fanout_entirely(self):
         # the manager's delta-save sweep runs first; the engine must
@@ -142,7 +142,7 @@ class TestEngineDigests:
         payload = frames_of(compressible_entry(), meters)
         cached = payload.chunk_digests(CHUNK)
         assert ParallelChunkEngine(WORKERS).chunk_digests([payload], CHUNK) == [cached]
-        assert meters.bytes_hashed == payload.nbytes
+        assert meters.snapshot()["bytes_hashed"] == payload.nbytes
 
     def test_engine_makes_no_staging_copy(self):
         # encodes read zero-copy chunk slices of the caller's rope
@@ -151,8 +151,8 @@ class TestEngineDigests:
         engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
         engine.chunk_digests([payload], CHUNK)
         engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
-        assert meters.bytes_compressed == payload.nbytes
-        assert meters.bytes_copied == 0
+        assert meters.snapshot()["bytes_compressed"] == payload.nbytes
+        assert meters.snapshot()["bytes_copied"] == 0
 
     def test_prestaged_payload_is_not_copied_again(self):
         # the async pipeline's staging copy is the one copy: the engine
@@ -163,12 +163,12 @@ class TestEngineDigests:
         pool = StagingPool(1 << 20)
         buffer = pool.acquire(source.nbytes)
         staged = source.snapshot_into(buffer)
-        assert meters.bytes_copied == source.nbytes
+        assert meters.snapshot()["bytes_copied"] == source.nbytes
         engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
         assert engine.chunk_digests([staged], CHUNK) == [digests]
         (encoded,) = engine.encode_chunks([(staged, all_chunks(staged))], CHUNK)
-        assert meters.bytes_copied == source.nbytes
-        assert meters.bytes_hashed == source.nbytes
+        assert meters.snapshot()["bytes_copied"] == source.nbytes
+        assert meters.snapshot()["bytes_hashed"] == source.nbytes
         raw_chunks = chunk_payload(serialize_entry(compressible_entry()), CHUNK)
         assert any(body is not None for body in encoded.values())
         for index, body in encoded.items():
@@ -220,10 +220,11 @@ class TestEngineEncodeDecode:
         subset = all_chunks(payload)[::2]  # only "novel" chunks
         engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
         engine.encode_chunks([(payload, subset)], CHUNK)
-        assert 0 < meters.bytes_compressed <= payload.nbytes
+        counts = meters.snapshot()
+        assert 0 < counts["bytes_compressed"] <= payload.nbytes
         # incompressible chunks count raw bytes as output (they hit the
         # wire raw), so out <= in always holds for zlib level 1 framing
-        assert meters.bytes_compressed_out <= meters.bytes_compressed + 16 * len(subset)
+        assert counts["bytes_compressed_out"] <= counts["bytes_compressed"] + 16 * len(subset)
 
     def test_worker_decode_matches_serial_decode(self):
         codec = make_chunk_codec("zlib")
@@ -281,8 +282,8 @@ class TestEngineEncodeDecode:
             [(first, all_chunks(first)), (second, subset)], CHUNK
         )
         slices = list(second.chunk_slices(CHUNK))
-        assert first_meters.bytes_compressed == first.nbytes
-        assert second_meters.bytes_compressed == sum(
+        assert first_meters.snapshot()["bytes_compressed"] == first.nbytes
+        assert second_meters.snapshot()["bytes_compressed"] == sum(
             sum(map(len, slices[index])) for index in subset
         )
 
@@ -451,7 +452,7 @@ class TestDedupComposition:
         store.put_serialized("b", payload, stamp=2)
         # identical content: no new chunk files, zero compression passes
         assert store.chunks.chunk_bytes_written == physical
-        assert meters.bytes_compressed == 0
+        assert meters.snapshot()["bytes_compressed"] == 0
         store.close()
 
     def test_store_written_with_engine_reads_without_one(self, tmp_path):
@@ -641,10 +642,11 @@ class TestBatchedWindows:
                     seen.add(chunk_digest(chunk))
                     novel_bytes += len(chunk)
         assert len(twin_chunks[0] & twin_chunks[1]) == 1
-        for snapshot in (meters, serial_meters):
-            assert snapshot.bytes_hashed == snapshot.bytes_serialized
-            assert snapshot.bytes_compressed == novel_bytes
-        assert meters.bytes_compressed_out == serial_meters.bytes_compressed_out
+        pooled_counts, serial_counts = meters.snapshot(), serial_meters.snapshot()
+        for counts in (pooled_counts, serial_counts):
+            assert counts["bytes_hashed"] == counts["bytes_serialized"]
+            assert counts["bytes_compressed"] == novel_bytes
+        assert pooled_counts["bytes_compressed_out"] == serial_counts["bytes_compressed_out"]
 
     @pytest.mark.parametrize("failure", ["crash", "oserror"])
     def test_engine_survives_a_failed_window(self, tmp_path, monkeypatch, failure):

@@ -130,11 +130,11 @@ class TestFrameIdentity:
         meters = PipelineMeters()
         frames = PayloadFrames.from_entry(entry(2.0, size=256), meters=meters)
         digests = frames.chunk_digests(128)
-        hashed = meters.bytes_hashed
+        hashed = meters.snapshot()["bytes_hashed"]
         staged = frames.snapshot_into(bytearray(frames.nbytes))
         assert staged.chunk_digests(128) == digests
         # shared cache: the staged copy never rehashes
-        assert meters.bytes_hashed == hashed
+        assert meters.snapshot()["bytes_hashed"] == hashed
         assert staged.tobytes() == frames.tobytes()
 
     def test_snapshot_into_rejects_short_buffer(self):
