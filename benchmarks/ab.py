@@ -1,14 +1,15 @@
 """Same-runner A/B of the end-to-end benchmark: a parent checkout against a head.
 
-    python benchmarks/ab.py PARENT HEAD [--pairs N]
+    python benchmarks/ab.py PARENT HEAD
 
-For each of N pairs and each workload, runs
+For each of ``PAIRS`` pairs and each workload, runs
 ``benchmarks/e2e/run.py --workload W --seed <pair> --trace 0`` once from
 each checkout, each checkout's own harness measuring its own ``src/``.
 Which side goes first alternates every pair: the second run of a
 back-to-back pair is systematically slower, so a fixed order would read
-as a regression.  Workloads, metrics and bounds come from HEAD's
-``BENCHMARK.json``.
+as a regression.  Metrics and bounds come from HEAD's ``BENCHMARK.json``;
+the workloads are those both checkouts' ``BENCHMARK.json`` name, and a
+workload only HEAD names is listed as new and not run.
 
 Per workload and end-to-end metric it prints both medians, how much worse
 HEAD's median is beside the bound, the parent's interquartile range as a
@@ -16,9 +17,10 @@ share of its median, and how many pairs HEAD won (ties count for
 neither).  A row is ``EXCEEDED`` when HEAD is worse than the bound and the
 parent's IQR lies within it, and ``unresolved`` when that IQR is wider
 than the bound, unless every HEAD run beats every parent run.  The exit
-status is non-zero on any ``EXCEEDED`` row, any run that is not
+status is non-zero on any ``EXCEEDED`` row, any HEAD run that is not
 ``correct``, or a workload whose failed-operations share is higher on
-HEAD than on the parent.
+HEAD than on the parent.  A parent run that is not correct is reported
+and drops its pair, but does not fail HEAD.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 SIDES = ("parent", "head")
+#: Ten pairs: quartiles of fewer samples are too coarse to tell a bound
+#: from noise, and leave rows ``unresolved`` that ten would resolve.
+PAIRS = 10
 #: A run of run.py ends well inside 170 s on its own; this only stops a
 #: wedged harness from holding the job until the runner's timeout.
 RUN_TIMEOUT_SECONDS = 300.0
@@ -45,12 +50,17 @@ Result = Dict[str, object]
 Results = Dict[str, Dict[str, List[Result]]]
 
 
-def load_spec(head: Path) -> dict:
-    """HEAD's ``BENCHMARK.json``, read by HEAD's own harness."""
-    sys.path.insert(0, str(head))
-    from benchmarks.e2e.run import load_spec as harness_spec
+def load_spec(checkout: Path) -> dict:
+    """``checkout``'s ``BENCHMARK.json``, read by that checkout's own harness."""
+    code = "import json; from benchmarks.e2e.run import load_spec; print(json.dumps(load_spec()))"
+    process = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=harness_environment(),
+                             capture_output=True, text=True, check=True)
+    return json.loads(process.stdout)
 
-    return harness_spec()
+
+def harness_environment() -> Dict[str, str]:
+    """This process's environment without ``PYTHONPATH``: each harness finds its own ``src/``."""
+    return {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
 
 
 def run_order(pair: int) -> Tuple[str, str]:
@@ -60,12 +70,11 @@ def run_order(pair: int) -> Tuple[str, str]:
 
 def run_once(checkout: Path, workload: str, seed: int) -> Result:
     """One untraced run of ``workload`` from ``checkout``."""
-    environment = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
     command = [sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
                "--workload", workload, "--seed", str(seed), "--trace", "0"]
     try:
-        process = subprocess.run(command, cwd=checkout, env=environment, capture_output=True,
-                                 text=True, timeout=RUN_TIMEOUT_SECONDS)
+        process = subprocess.run(command, cwd=checkout, env=harness_environment(),
+                                 capture_output=True, text=True, timeout=RUN_TIMEOUT_SECONDS)
     except subprocess.TimeoutExpired:
         return failed_run(f"no result after {RUN_TIMEOUT_SECONDS:.0f} s")
     lines = process.stdout.strip().splitlines()
@@ -122,11 +131,11 @@ def failed_share(results: Sequence[Result]) -> float:
 
 
 def verdict(spec: dict, results: Results) -> Tuple[List[str], int]:
-    """The report lines and the exit status for a finished A/B."""
+    """The report lines and the exit status for a finished A/B of ``results``' workloads."""
     lines = [f"{'workload':<22}{'metric':<24}{'parent':>11}{'head':>11}{'worse by':>10}"
              f"{'bound':>7}{'par IQR':>9}{'head won':>10}  verdict"]
     status = 0
-    for workload in (entry["name"] for entry in spec["workloads"]):
+    for workload in results["head"]:
         runs = {side: results[side][workload] for side in SIDES}
         for entry in spec["end_to_end"]:
             name = entry["name"]
@@ -147,7 +156,7 @@ def verdict(spec: dict, results: Results) -> Tuple[List[str], int]:
                      f"{shares['head']:.2%}; runs not correct: parent {incorrect['parent']}/"
                      f"{len(runs['parent'])}, head {incorrect['head']}/{len(runs['head'])}")
         status |= shares["head"] > shares["parent"]
-        status |= any(incorrect.values())
+        status |= incorrect["head"] > 0
     return lines, int(status)
 
 
@@ -156,26 +165,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the commit to compare against")
     parser.add_argument("head", type=Path, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     checkouts = {"parent": args.parent.resolve(), "head": args.head.resolve()}
-    spec = load_spec(checkouts["head"])
-    workloads = [entry["name"] for entry in spec["workloads"]]
+    specs = {side: load_spec(checkouts[side]) for side in SIDES}
+    known = {entry["name"] for entry in specs["parent"]["workloads"]}
+    named = [entry["name"] for entry in specs["head"]["workloads"]]
+    workloads = [workload for workload in named if workload in known]
     results: Results = {side: {workload: [] for workload in workloads} for side in SIDES}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         for workload in workloads:
             for side in run_order(pair):
                 begin = time.monotonic()
                 result = run_once(checkouts[side], workload, seed=pair)
                 results[side][workload].append(result)
                 values = {name: metric["value"] for name, metric in result["metrics"].items()}
-                print(f"pair {pair + 1}/{args.pairs} {workload} {side} "
+                print(f"pair {pair + 1}/{PAIRS} {workload} {side} "
                       f"({time.monotonic() - begin:.0f} s): correct={result['correct']} "
                       f"failed={result['failed']}/{result['attempted']} {json.dumps(values)}"
                       + (f" error={result['error']}" if "error" in result else ""), flush=True)
-    lines, status = verdict(spec, results)
+    lines, status = verdict(specs["head"], results)
+    lines += [f"{workload:<22}new (no parent): not compared"
+              for workload in named if workload not in known]
     print("\n".join(lines))
     return status
 

@@ -93,10 +93,19 @@ def test_within_the_bound_is_ok():
     assert status == 0
 
 
-def test_one_incorrect_run_fails_the_gate():
+def test_one_incorrect_head_run_fails_the_gate():
     bad = run(TIGHT[2], RESTORE[2], correct=False)
     _, status = ab.verdict(SPEC, results(TIGHT, TIGHT, [(2, bad)]))
     assert status != 0
+
+
+def test_an_incorrect_parent_run_is_reported_but_does_not_fail_the_head():
+    runs = results(TIGHT, TIGHT)
+    runs["parent"]["sharded"][3] = ab.failed_run("exit 1")
+    lines, status = ab.verdict(SPEC, runs)
+    assert "runs not correct: parent 1/5, head 0/5" in row_of(lines, "failed ops")
+    assert "0/4" in row_of(lines, "save_stall_ms_p50")
+    assert status == 0
 
 
 def test_a_crashed_run_fails_the_gate_and_drops_its_pair():
@@ -128,17 +137,25 @@ def test_medians_and_iqr_match_numpy():
     assert row["wins"] == int(np.sum(head < parent))
 
 
-def test_the_side_that_runs_first_alternates_each_pair(monkeypatch, capsys):
+def fake_checkouts(monkeypatch, specs):
+    """Stand-ins for ``load_spec`` and ``run_once``: ``specs`` maps a checkout's name
+    to its spec; every run is the same steady result.  Returns the list of runs made."""
     calls = []
 
     def fake_run(checkout, workload, seed):
         calls.append((checkout.name, workload, seed))
         return run(10.0, 500.0)
 
-    monkeypatch.setattr(ab, "load_spec", lambda head: {**SPEC, "workloads": [
-        {"name": "sharded"}, {"name": "dedup"}]})
+    monkeypatch.setattr(ab, "load_spec", lambda checkout: specs[checkout.name])
     monkeypatch.setattr(ab, "run_once", fake_run)
-    assert ab.main(["/checkouts/parent", "/checkouts/head", "--pairs", "4"]) == 0
+    return calls
+
+
+def test_the_side_that_runs_first_alternates_each_pair(monkeypatch, capsys):
+    spec = {**SPEC, "workloads": [{"name": "sharded"}, {"name": "dedup"}]}
+    calls = fake_checkouts(monkeypatch, {"parent": spec, "head": spec})
+    monkeypatch.setattr(ab, "PAIRS", 4)
+    assert ab.main(["/checkouts/parent", "/checkouts/head"]) == 0
     assert len(calls) == 4 * 2 * 2
     for pair in range(4):
         first = "parent" if pair % 2 == 0 else "head"
@@ -147,3 +164,15 @@ def test_the_side_that_runs_first_alternates_each_pair(monkeypatch, capsys):
         assert block == [(first, "sharded", pair), (second, "sharded", pair),
                          (first, "dedup", pair), (second, "dedup", pair)]
     assert "EXCEEDED" not in capsys.readouterr().out
+
+
+def test_a_workload_only_the_head_names_is_listed_new_and_not_run(monkeypatch, capsys):
+    head_spec = {**SPEC, "workloads": [{"name": "sharded"}, {"name": "added"}]}
+    calls = fake_checkouts(monkeypatch, {"parent": SPEC, "head": head_spec})
+    monkeypatch.setattr(ab, "PAIRS", 2)
+    assert ab.main(["/checkouts/parent", "/checkouts/head"]) == 0
+    assert {workload for _, workload, _ in calls} == {"sharded"}
+    assert len(calls) == 2 * 2
+    out = capsys.readouterr().out
+    assert "added" in out and "new (no parent)" in out
+    assert "runs not correct: parent 0/2, head 0/2" in out
