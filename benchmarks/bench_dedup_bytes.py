@@ -1,12 +1,17 @@
 """Microbenchmark: persisted bytes per checkpoint — full vs PEC vs PEC+dedup.
 
-Drives the live manager over a 12-stamp run in three configurations:
+Drives the live manager over a 12-stamp run in four configurations:
 
 * **full**   — every expert persisted every checkpoint (``PECConfig.full``)
                on the sharded journal store;
 * **pec**    — K=1 partial-expert checkpointing on the sharded store;
+* **pec+delta** — K=1 on the sharded store with manager delta saves on
+               (unchanged entries are skipped before they are built);
 * **pec+dedup** — K=1 through :class:`~repro.ckpt.dedup.DedupBackend`
                with manager delta saves on.
+
+``pec+delta`` and ``pec+dedup`` differ only in the store, so the pair
+separates the two byte levers: the delta skip and chunk dedup.
 
 Write traffic is measured with the CounterPoint discipline — byte
 counters, not assumptions: novel-chunk bytes (dedup) or payload bytes
@@ -49,7 +54,7 @@ CFG = MoEModelConfig(
 )
 N_STAMPS = 12
 CHUNK_BYTES = 16 * 1024
-CONFIGS = ("full", "pec", "pec+dedup")
+CONFIGS = ("full", "pec", "pec+delta", "pec+dedup")
 
 
 class TrafficMeter:
@@ -103,7 +108,8 @@ def run_config(root: str, kind: str, freeze_backbone: bool) -> dict:
         if dedup else ShardedDiskKVStore(root)
     )
     manager = MoCCheckpointManager(
-        model, optimizer, config, disk_store=store, delta_saves=dedup
+        model, optimizer, config, disk_store=store,
+        delta_saves=kind in ("pec+delta", "pec+dedup"),
     )
     corpus = MarkovCorpus(vocab_size=CFG.vocab_size, seq_len=12, seed=3)
     manager.save_initial(0)
@@ -198,3 +204,8 @@ def test_dedup_bytes_microbench(benchmark, report, tmp_path):
     fin = matrix["finetune"]
     assert fin["pec"]["bytes_per_ckpt"] >= 4 * fin["pec+dedup"]["bytes_per_ckpt"]
     assert fin["pec+dedup"]["skipped"] > 0
+    # the delta skip carries that reduction, not chunk dedup: on the
+    # pack store alone it cuts PEC's bytes 4x too, and chunk dedup saves
+    # at most a tenth more on top of it
+    assert fin["pec"]["bytes_per_ckpt"] >= 4 * fin["pec+delta"]["bytes_per_ckpt"]
+    assert fin["pec+delta"]["bytes_per_ckpt"] <= 1.1 * fin["pec+dedup"]["bytes_per_ckpt"]

@@ -12,8 +12,9 @@ contract instead of assuming it:
   manager) and enabled (one dict append per B/E event), against an
   empty ``with`` block as the floor.
 * **macro** — real ``MoCCheckpointManager.checkpoint`` saves on a
-  sharded disk store, timed with tracing disabled and enabled, plus an
-  enabled run that counts how many trace events one save emits.
+  sharded disk store, timed with tracing disabled and enabled (the two
+  sides take turns after one discarded warm-up save each), plus a count
+  of how many trace events one enabled save emits.
 
 The headline gate is *estimated disabled overhead*: events-per-save ×
 disabled-span cost, as a fraction of the measured save wall time.
@@ -139,39 +140,53 @@ def _make_manager(root: str) -> MoCCheckpointManager:
     )
 
 
-def _timed_saves(root: str, saves: int, traced: bool) -> Dict[str, float]:
-    """Mean per-save wall (ms) over ``saves`` checkpoints.
+def _timed_saves(tmpdir: str, saves: int) -> Dict[bool, Dict[str, float]]:
+    """Mean per-save wall (ms) over ``saves`` checkpoints, keyed by
+    whether tracing was on.
 
-    Each save is preceded by one (untimed) training step so the delta
-    pattern matches a live run; only ``checkpoint()`` is on the clock.
+    Each side has its own manager and store.  The sides take turns, one
+    save each, and the side that goes first alternates; one discarded
+    warm-up save per side comes first, so neither side absorbs the
+    process's warm-up.  Each save is preceded by one (untimed) training
+    step so the delta pattern matches a live run; only ``checkpoint()``
+    is on the clock, and tracing is on only around the traced side's
+    saves.
     """
     tracer = get_tracer()
-    manager = _make_manager(root)
-    corpus = MarkovCorpus(vocab_size=32, num_domains=2, seq_len=12, seed=7)
+    managers = {traced: _make_manager(os.path.join(tmpdir, "on" if traced else "off"))
+                for traced in (False, True)}
+    corpora = {traced: MarkovCorpus(vocab_size=32, num_domains=2, seq_len=12, seed=7)
+               for traced in (False, True)}
+    walls: Dict[bool, List[float]] = {False: [], True: []}
     try:
-        manager.save_initial(0)  # warm-up: imports, allocator, first index
-        if traced:
-            tracer.reset()
-            tracer.enable()
-        walls: List[float] = []
-        events_before = 0
-        for step in range(1, saves + 1):
-            train_steps(manager.model, manager.optimizer, corpus, 1, start=step)
-            begin = time.perf_counter()
-            manager.checkpoint(step)
-            walls.append(time.perf_counter() - begin)
-        if traced:
-            events = len(tracer.export()["traceEvents"]) - events_before
-        else:
-            events = 0
+        for manager in managers.values():
+            manager.save_initial(0)  # imports, allocator, first index
+        for step in range(1, saves + 2):  # step 1 is the discarded warm-up
+            if step == 2:
+                tracer.reset()
+            for traced in ((False, True) if step % 2 else (True, False)):
+                manager = managers[traced]
+                train_steps(manager.model, manager.optimizer, corpora[traced], 1, start=step)
+                if traced:
+                    tracer.enable()
+                begin = time.perf_counter()
+                manager.checkpoint(step)
+                wall = time.perf_counter() - begin
+                tracer.disable()
+                if step > 1:
+                    walls[traced].append(wall)
+        events = len(tracer.export()["traceEvents"])
     finally:
-        if traced:
-            tracer.disable()
-            tracer.reset()
-        manager.close()
+        tracer.disable()
+        tracer.reset()
+        for manager in managers.values():
+            manager.close()
     return {
-        "save_ms": sum(walls) / len(walls) * 1e3,
-        "events_per_save": events / saves,
+        traced: {
+            "save_ms": sum(walls[traced]) / saves * 1e3,
+            "events_per_save": events / saves if traced else 0,
+        }
+        for traced in (False, True)
     }
 
 
@@ -183,8 +198,8 @@ def compute_results(tmpdir: str, quick: bool = False) -> Dict[str, object]:
     calls = 200_000 if quick else 1_000_000
     saves = 6 if quick else 20
     micro = micro_span_cost(calls)
-    off = _timed_saves(os.path.join(tmpdir, "off"), saves, traced=False)
-    on = _timed_saves(os.path.join(tmpdir, "on"), saves, traced=True)
+    timed = _timed_saves(tmpdir, saves)
+    off, on = timed[False], timed[True]
     # Upper bound on what the disabled instrumentation costs one save:
     # every event the enabled run recorded corresponds to at most one
     # disabled-path call (a span records two events, B and E, so this

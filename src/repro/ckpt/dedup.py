@@ -67,7 +67,6 @@ from .codec import (
     decode_chunk_file,
     encode_chunk_file,
     make_chunk_codec,
-    train_dictionary,
 )
 from .journal import Journal
 from .parallel import ParallelChunkEngine, encode_jobs
@@ -189,7 +188,6 @@ class ChunkStore:
     def __init__(self, root: str, fault: Callable[[str], None]) -> None:
         self.root = root
         self._objects_dir = os.path.join(root, "objects")
-        self.dicts_dir = os.path.join(root, "dicts")
         os.makedirs(self._objects_dir, exist_ok=True)
         self._fault = fault
         self._shard_dirs_made: set = set()
@@ -204,8 +202,6 @@ class ChunkStore:
         self.chunks_encoded = 0
         self.dedup_hits = 0
         self.dedup_bytes_saved = 0
-        self._dict_cache: Dict[str, bytes] = {}
-        self._decode_cache: Dict[tuple, ChunkCodec] = {}
         for record in self._journal.replay():
             self._apply_record(record)
 
@@ -306,36 +302,19 @@ class ChunkStore:
         return self.decode_chunk(data) if encoded else data
 
     def decode_chunk(self, data: bytes) -> bytes:
-        """Raw bytes of an encoded chunk file body; a missing dictionary
-        raises :class:`KVStoreError` like a missing chunk."""
-        return decode_chunk_file(data, self.load_dictionary, self._decode_cache)
-
-    # -- trained dictionaries -------------------------------------------
-    def store_dictionary(self, dictionary: bytes) -> str:
-        """Persist a trained codec dictionary content-addressed; return
-        its digest.  Idempotent — dictionaries are immutable like
-        chunks, and referenced by digest from encoded chunk frames."""
-        digest = hashlib.sha256(dictionary).hexdigest()
-        path = os.path.join(self.dicts_dir, digest)
-        if not os.path.exists(path):
-            os.makedirs(self.dicts_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as handle:
-                handle.write(dictionary)
-            os.replace(tmp, path)
-        self._dict_cache[digest] = bytes(dictionary)
-        return digest
+        """Raw bytes of an encoded chunk file body.  A frame that does
+        not decode raises :class:`KVStoreError` like a missing chunk, so
+        a tiered store reads its remote copy instead."""
+        try:
+            return decode_chunk_file(data)
+        except ChunkCodecError as exc:
+            raise KVStoreError(str(exc)) from exc
 
     def load_dictionary(self, digest: str) -> bytes:
-        cached = self._dict_cache.get(digest)
-        if cached is None:
-            try:
-                with open(os.path.join(self.dicts_dir, digest), "rb") as handle:
-                    cached = handle.read()
-            except FileNotFoundError:
-                raise KVStoreError(f"codec dictionary {digest} missing") from None
-            self._dict_cache[digest] = cached
-        return cached
+        # No chunk frame references a dictionary.  Kept only because
+        # ``benchmarks/e2e/lifecycle.py:codec_drill`` passes this method
+        # to ``decode_chunk_file``, which ignores it.
+        raise KVStoreError(f"codec dictionary {digest} missing")
 
     def apply_refs(self, inc: Mapping[str, int], dec: Mapping[str, int]) -> None:
         """Journal one atomic refcount mutation, then apply it."""
@@ -469,9 +448,7 @@ class DedupBackend(CheckpointBackend):
         self.compact_garbage_ratio = compact_garbage_ratio
         os.makedirs(root, exist_ok=True)
         self.chunks = ChunkStore(os.path.join(root, "chunks"), self._fault)
-        # Chunk codec: a ChunkCodec instance, a name ("zstd", "zlib",
-        # "auto", ...), or None.  Names degrade gracefully (zlib
-        # fallback with a warning) — see make_chunk_codec.
+        # Chunk codec: a ChunkCodec instance, "zlib", "none" or None.
         self.codec: Optional[ChunkCodec] = (
             make_chunk_codec(codec) if isinstance(codec, str) else codec
         )
@@ -513,36 +490,6 @@ class DedupBackend(CheckpointBackend):
         """Callers precomputing chunk digests must use this granularity
         for :meth:`_write` to reuse them (one shared SHA-256 sweep)."""
         return self.chunk_bytes
-
-    def train_codec_dictionary(
-        self, max_samples: int = 64, max_bytes: int = 16 * 1024
-    ) -> Optional[str]:
-        """Train a codec dictionary on the store's own chunk corpus.
-
-        Samples up to ``max_samples`` live chunks (decoded), trains a
-        raw-content dictionary, persists it content-addressed under
-        ``chunks/dicts/``, and rebuilds the codec (and engine) to use
-        it.  Returns the dictionary digest, or ``None`` when there is
-        no codec or the corpus is too thin to train from.  Previously
-        written chunks are untouched — their frames reference whatever
-        dictionary (or none) they were written with.
-        """
-        if self.codec is None:
-            return None
-        samples = []
-        for digest in sorted(self.chunks.disk_chunks())[:max_samples]:
-            try:
-                samples.append(self.chunks.read_chunk(digest))
-            except (KVStoreError, ChunkCodecError):  # pragma: no cover
-                continue
-        dictionary = train_dictionary(samples, max_bytes=max_bytes)
-        if not dictionary:
-            return None
-        dict_digest = self.chunks.store_dictionary(dictionary)
-        self.codec = make_chunk_codec(self.codec.name, self.codec.level, dictionary)
-        if self.engine is not None:
-            self.engine.codec = self.codec
-        return dict_digest
 
     def _novel_indices(self, digest_lists: Sequence[List[str]]) -> List[List[int]]:
         """Per list, the indices of first occurrences — across *all*
@@ -855,7 +802,7 @@ class DedupBackend(CheckpointBackend):
             try:
                 if chunk_digest(self.chunks.read_chunk(digest)) != digest:
                     report.corrupt_chunks.append(digest)
-            except (ChunkCodecError, KVStoreError):
+            except KVStoreError:
                 report.corrupt_chunks.append(digest)
         live: Counter = Counter()
         for key, meta in sorted(self._index.items()):

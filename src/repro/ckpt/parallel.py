@@ -1,8 +1,8 @@
 """Chunk codec engine: compression on I/O-scheduler threads.
 
-zlib (and zstd/lz4) release the GIL while they compress, so the chunk
-codec scales across plain threads — no worker processes, no shared
-memory, no pickling.  :class:`ParallelChunkEngine` is what a
+zlib releases the GIL while it compresses, so the chunk codec scales
+across plain threads — no worker processes, no shared memory, no
+pickling.  :class:`ParallelChunkEngine` is what a
 :class:`~repro.ckpt.dedup.DedupBackend` with ``parallel_workers > 0``
 drives once per window (a run of one batch's payloads), before any of
 the window's chunk writes:
@@ -81,9 +81,8 @@ class ParallelChunkEngine:
 
     A window's novel chunks are split into at most ``workers`` shares of
     near-equal bytes; the saving thread encodes the first, scheduler
-    tasks the rest.  ``codec`` may be swapped between windows; ``decode``
-    and ``fault`` are the owning store's chunk decoder (its dictionary
-    loader and codec cache) and crash seam."""
+    tasks the rest.  ``decode`` and ``fault`` are the owning store's
+    chunk decoder and crash seam."""
 
     def __init__(
         self,

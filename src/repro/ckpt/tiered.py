@@ -668,9 +668,11 @@ class TieredBackend(CheckpointBackend):
                         self._upload_once(key)
                 except CrashInjected:
                     raise
-                except KVStoreError:
-                    return True  # deleted underneath the pipeline: settled
                 except Exception as exc:  # noqa: BLE001 - transient remote fault
+                    if isinstance(exc, KVStoreError) and not self.local.has(key):
+                        return True  # deleted underneath the pipeline: settled
+                    # A local entry that is there but does not read (an
+                    # undecodable chunk) fails like a remote fault would.
                     attempt += 1
                     elapsed = time.monotonic() - started
                     if (

@@ -847,10 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="codec threads for the dedup backend's save "
                            "path (0 = encode on the saving thread)")
     demo.add_argument("--codec", default=None,
-                      choices=["zlib", "zstd", "lz4", "auto", "none"],
-                      help="chunk-compression codec for the dedup backend "
-                           "(zstd/lz4 fall back to zlib with a warning when "
-                           "not installed; 'auto' picks the best available)")
+                      choices=["zlib", "none"],
+                      help="chunk-compression codec for the dedup backend")
     demo.add_argument("--remote-latency", type=float, default=0.0,
                       help="simulated per-op latency (seconds) of the "
                            "tiered backend's remote object tier")

@@ -1,4 +1,4 @@
-"""Structured state dictionaries: classifying parameters for PEC.
+"""Structured state dicts: classifying parameters for PEC.
 
 PEC treats the model as two populations — the *non-expert* part (saved in
 full every checkpoint) and the per-``(moe_layer, expert)`` *expert* part

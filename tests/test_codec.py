@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,12 +146,15 @@ def test_subnormal_values_documented_hazard():
 
 from repro.ckpt import (  # noqa: E402 - grouped with the tier they test
     ChunkCodecError,
-    available_chunk_codecs,
+    DedupBackend,
     decode_chunk_file,
     encode_chunk_file,
     make_chunk_codec,
-    train_dictionary,
 )
+
+#: SHA-256 of the framed zlib body of :func:`pinned_chunk`; a change
+#: here means chunk files written before it are no longer reproduced.
+PINNED_FRAME_SHA256 = "64d3b8e91de1f2a180c6702453f3829c9e5d965375171cb3e953277fad5673b1"
 
 
 def compressible_chunk(size=1024, seed=0) -> bytes:
@@ -157,8 +164,9 @@ def compressible_chunk(size=1024, seed=0) -> bytes:
     return body.tobytes()
 
 
-def no_dictionary(digest):
-    raise KeyError(digest)
+def pinned_chunk() -> bytes:
+    """A fixed 4 KiB compressible chunk built without a random source."""
+    return b"".join(struct.pack("<d", (i % 17) / 4) for i in range(512))
 
 
 class TestChunkCodec:
@@ -167,7 +175,15 @@ class TestChunkCodec:
         raw = compressible_chunk()
         body = encode_chunk_file(codec, [raw])
         assert body is not None and len(body) < len(raw)
-        assert decode_chunk_file(body, no_dictionary) == raw
+        assert decode_chunk_file(body) == raw
+
+    def test_zlib_frame_bytes_are_pinned(self):
+        raw = pinned_chunk()
+        body = encode_chunk_file(make_chunk_codec("zlib"), [raw])
+        # u8 tag (1: zlib) | u8 flags | u64 raw length | zlib level 1 stream
+        assert body[:10] == struct.pack("<BBQ", 1, 0, len(raw))
+        assert hashlib.sha256(body).hexdigest() == PINNED_FRAME_SHA256
+        assert decode_chunk_file(body) == raw
 
     def test_encode_parts_streams_without_concatenation(self):
         codec = make_chunk_codec("zlib")
@@ -175,7 +191,7 @@ class TestChunkCodec:
         parts = [memoryview(raw)[:700], memoryview(raw)[700:1500],
                  memoryview(raw)[1500:]]
         body = encode_chunk_file(codec, parts)
-        assert decode_chunk_file(body, no_dictionary) == raw
+        assert decode_chunk_file(body) == raw
 
     def test_incompressible_chunk_returns_none(self):
         codec = make_chunk_codec("zlib")
@@ -187,105 +203,157 @@ class TestChunkCodec:
         codec = make_chunk_codec("zlib")
         assert encode_chunk_file(codec, [b"\x00" * 32]) is None
 
-    def test_dictionary_roundtrip_and_loader_contract(self):
-        template = compressible_chunk(512, seed=3) * 2
-        samples = [template + bytes([s]) * 16 for s in range(8)]
-        dictionary = train_dictionary(samples)
-        assert dictionary  # corpus is rich enough
-        codec = make_chunk_codec("zlib", dictionary=dictionary)
-        raw = template + b"\xAA" * 16
-        body = encode_chunk_file(codec, [raw])
-        assert body is not None
-        loaded = {}
-
-        def loader(digest):
-            loaded["digest"] = digest
-            return dictionary
-
-        assert decode_chunk_file(body, loader) == raw
-        assert loaded["digest"] == codec.dict_digest
-        # frames referencing a dictionary refuse to decode without one
-        with pytest.raises(ChunkCodecError):
-            decode_chunk_file(body, None)
-
     def test_unknown_tag_rejected(self):
         codec = make_chunk_codec("zlib")
         body = bytearray(encode_chunk_file(codec, [compressible_chunk()]))
         body[0] = 250  # unassigned codec tag
         with pytest.raises(ChunkCodecError):
-            decode_chunk_file(bytes(body), no_dictionary)
+            decode_chunk_file(bytes(body))
+
+    def test_dictionary_flag_rejected(self):
+        codec = make_chunk_codec("zlib")
+        body = bytearray(encode_chunk_file(codec, [compressible_chunk()]))
+        body[1] = 1  # the retired "has dictionary" flag
+        with pytest.raises(ChunkCodecError, match="flags"):
+            decode_chunk_file(bytes(body))
 
     def test_truncated_frame_rejected(self):
         with pytest.raises(ChunkCodecError):
-            decode_chunk_file(b"\x01", no_dictionary)
+            decode_chunk_file(b"\x01")
 
     def test_corrupt_payload_rejected(self):
         codec = make_chunk_codec("zlib")
         body = bytearray(encode_chunk_file(codec, [compressible_chunk()]))
         body[-1] ^= 0xFF
         with pytest.raises(ChunkCodecError):
-            decode_chunk_file(bytes(body), no_dictionary)
+            decode_chunk_file(bytes(body))
 
     def test_none_names_build_no_codec(self):
         assert make_chunk_codec(None) is None
         assert make_chunk_codec("none") is None
 
-    def test_auto_picks_something_silently(self):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            codec = make_chunk_codec("auto")
-        assert codec is not None
-        assert codec.name in ("zstd", "lz4", "zlib")
-
-    def test_missing_optional_codec_falls_back_to_zlib_with_warning(self):
-        available = available_chunk_codecs()
-        for name in ("zstd", "lz4"):
-            if name in available:
-                # module installed here: the real codec must round-trip
-                codec = make_chunk_codec(name)
-                raw = compressible_chunk()
-                body = encode_chunk_file(codec, [raw])
-                if body is not None:
-                    assert decode_chunk_file(body, no_dictionary) == raw
-            else:
-                with pytest.warns(RuntimeWarning, match="falling back to zlib"):
-                    codec = make_chunk_codec(name)
-                assert codec.name == "zlib"
-
     def test_unknown_codec_name_rejected(self):
         with pytest.raises(ValueError):
             make_chunk_codec("snappy")
 
-    def test_cross_codec_readability(self):
-        # a frame written by any available codec decodes regardless of
-        # what the reader would configure — the tag drives dispatch
+    def test_retired_codec_names_rejected(self):
+        for name in ("auto", "zstd", "lz4"):
+            with pytest.raises(ValueError):
+                make_chunk_codec(name)
+
+    def test_length_mismatch_rejected(self):
+        codec = make_chunk_codec("zlib")
+        raw = compressible_chunk()
+        body = bytearray(encode_chunk_file(codec, [raw]))
+        body[2:10] = struct.pack("<Q", len(raw) + 1)
+        with pytest.raises(ChunkCodecError, match="length mismatch"):
+            decode_chunk_file(bytes(body))
+
+    def test_header_without_stream_rejected(self):
+        with pytest.raises(ChunkCodecError, match="zlib"):
+            decode_chunk_file(struct.pack("<BBQ", 1, 0, 128))
+
+    def test_decode_takes_a_memoryview_and_ignores_its_second_argument(self):
+        codec = make_chunk_codec("zlib")
+        raw = compressible_chunk()
+        body = encode_chunk_file(codec, [raw])
+
+        def loader(digest):
+            raise AssertionError("no frame references a dictionary")
+
+        assert decode_chunk_file(memoryview(body), loader) == raw
+
+    def test_encode_is_independent_of_part_boundaries(self):
+        codec = make_chunk_codec("zlib")
+        raw = compressible_chunk(32768)
+        view = memoryview(raw)
+        split = codec.encode_parts([view[:700], view[700:15000], view[15000:]])
+        assert split == codec.encode(raw)
+
+    def test_smallest_framed_chunk(self):
+        codec = make_chunk_codec("zlib")
+        assert encode_chunk_file(codec, [b"\x00" * 63]) is None
+        body = encode_chunk_file(codec, [b"\x00" * 64])
+        assert body is not None and decode_chunk_file(body) == b"\x00" * 64
+
+    def test_stats_count_raw_and_encoded_bytes(self):
+        codec = make_chunk_codec("zlib")
+        assert codec.stats.ratio == 1.0  # nothing encoded yet
+        chunks = [compressible_chunk(seed=seed) for seed in range(3)]
+        encoded = [codec.encode(chunk) for chunk in chunks]
+        assert codec.stats.raw_bytes == sum(len(chunk) for chunk in chunks)
+        assert codec.stats.encoded_bytes == sum(len(body) for body in encoded)
+        assert codec.stats.ratio < 1.0
+
+    def test_stats_are_exact_under_concurrent_encodes(self):
+        codec = make_chunk_codec("zlib")
         raw = compressible_chunk(4096)
-        for name in available_chunk_codecs():
-            if name in ("none", "auto"):
-                continue
-            body = encode_chunk_file(make_chunk_codec(name), [raw])
-            if body is not None:
-                assert decode_chunk_file(body, no_dictionary) == raw, name
+        size = len(codec.encode(raw))
+        codec.stats.raw_bytes = codec.stats.encoded_bytes = 0
+        threads, rounds = 4, 50
+
+        def encode_many():
+            for _ in range(rounds):
+                codec.encode(raw)
+
+        workers = [threading.Thread(target=encode_many) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert codec.stats.raw_bytes == threads * rounds * len(raw)
+        assert codec.stats.encoded_bytes == threads * rounds * size
+
+    def test_codec_error_is_a_value_error(self):
+        assert issubclass(ChunkCodecError, ValueError)
 
 
-class TestTrainDictionary:
-    def test_deterministic(self):
-        samples = [compressible_chunk(seed=s) for s in range(6)]
-        assert train_dictionary(samples) == train_dictionary(samples)
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(min_size=0, max_size=2048), zero_every=st.integers(1, 8))
+def test_property_framed_chunk_roundtrips_or_stays_raw(data, zero_every):
+    """Every chunk either stays raw or frames smaller than itself and
+    decodes back to exactly its bytes."""
+    raw = bytes(0 if i % zero_every == 0 else b for i, b in enumerate(data))
+    body = encode_chunk_file(make_chunk_codec("zlib"), [raw])
+    if body is not None:
+        assert len(body) < len(raw)
+        assert decode_chunk_file(body) == raw
 
-    def test_thin_corpus_yields_empty(self):
-        assert train_dictionary([]) == b""
-        assert train_dictionary([b"tiny"]) == b""
 
-    def test_dictionary_improves_ratio_on_templated_data(self):
-        # strongly templated chunks: shared boilerplate with small diffs
-        template = compressible_chunk(512, seed=3) * 2
-        samples = [template + bytes([s]) * 16 for s in range(8)]
-        dictionary = train_dictionary(samples)
-        assert dictionary
-        plain = make_chunk_codec("zlib")
-        primed = make_chunk_codec("zlib", dictionary=dictionary)
-        target = template + b"\xAA" * 16
-        assert len(primed.encode(target)) <= len(plain.encode(target))
+class TestChunkCodecInDedupStore:
+    """Raw and encoded chunk files share one object store: which form a
+    chunk takes depends on the codec that wrote it, never on the reader."""
+
+    CHUNK = 256
+
+    def entry(self, seed=0):
+        return {"x": np.frombuffer(compressible_chunk(4096, seed=seed), dtype=np.float64)}
+
+    def test_unknown_codec_name_rejected_by_the_store(self, tmp_path):
+        with pytest.raises(ValueError):
+            DedupBackend(str(tmp_path), codec="zstd")
+
+    def test_encoded_chunks_read_back_without_a_codec(self, tmp_path):
+        store = DedupBackend(str(tmp_path), chunk_bytes=self.CHUNK, codec="zlib")
+        store.put("zipped", self.entry(0), stamp=1)
+        assert store.chunks.encoded_digests()
+        store.close()
+        store = DedupBackend(str(tmp_path), chunk_bytes=self.CHUNK, codec="none")
+        store.put("plain", self.entry(1), stamp=2)
+        assert store.chunks.chunks_encoded == 0  # a codec-less store writes raw
+        for key, seed in (("zipped", 0), ("plain", 1)):
+            assert np.array_equal(store.get(key)["x"], self.entry(seed)["x"])
+        report = store.fsck()
+        assert report.ok and report.encoded_chunks > 0
+        store.close()
+
+    def test_a_raw_chunk_is_a_dedup_hit_for_a_codec_store(self, tmp_path):
+        store = DedupBackend(str(tmp_path), chunk_bytes=self.CHUNK)
+        store.put("a", self.entry(), stamp=1)
+        store.close()
+        store = DedupBackend(str(tmp_path), chunk_bytes=self.CHUNK, codec="zlib")
+        store.put("b", self.entry(), stamp=2)
+        assert store.chunks.chunks_written == 0
+        assert store.chunks.encoded_digests() == []
+        assert np.array_equal(store.get("b")["x"], self.entry()["x"])
+        store.close()

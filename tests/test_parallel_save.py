@@ -19,7 +19,6 @@ Four properties this suite exists to hold:
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -30,7 +29,6 @@ import pytest
 from repro.ckpt import dedup as dedup_module
 from repro.ckpt import parallel as parallel_module
 from repro.ckpt import (
-    ChunkCodecError,
     CrashInjected,
     DedupBackend,
     KVStoreError,
@@ -70,13 +68,6 @@ def compressible_entry(size: int = 2048, seed: int = 0) -> dict:
 def incompressible_entry(size: int = 2048, seed: int = 1) -> dict:
     rng = np.random.default_rng(seed)
     return {"x": rng.integers(0, 256, size, dtype=np.uint8)}
-
-
-def repetitive_entry(seed: int, shift: int = 0) -> dict:
-    """A short random pattern tiled, ``shift`` values in: repeated grams
-    a dictionary can be trained from."""
-    rng = np.random.default_rng(seed)
-    return {"x": np.tile(rng.standard_normal(48), 24)[shift:]}
 
 
 def frames_of(entry: dict, meters: PipelineMeters = None) -> PayloadFrames:
@@ -197,15 +188,11 @@ class TestEngineEncodeDecode:
         assert set(encoded) == set(indices)
         # the saving thread encodes one share, lane tasks the others
         assert engine.tasks_dispatched == WORKERS - 1
-
-        def no_dict(digest):
-            raise KeyError(digest)
-
         for index, body in encoded.items():
             if body is None:
                 continue  # incompressible: stored raw
             assert len(body) < len(raw_chunks[index])
-            assert decode_chunk_file(body, no_dict) == raw_chunks[index]
+            assert decode_chunk_file(body) == raw_chunks[index]
 
     def test_incompressible_chunks_come_back_none(self):
         payload = frames_of(incompressible_entry(4096))
@@ -292,41 +279,6 @@ class TestEngineEncodeDecode:
         engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
         engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
         assert engine.worker_cpu_seconds > 0.0
-
-    def test_codec_swapped_between_rounds_frames_the_dictionary(self):
-        payload = frames_of(compressible_entry(4096))
-        engine = ParallelChunkEngine(WORKERS, codec=make_chunk_codec("zlib"))
-        (plain,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
-        dictionary = serialize_entry(compressible_entry(512, seed=5))
-        engine.codec = make_chunk_codec("zlib", dictionary=dictionary)
-        (trained,) = engine.encode_chunks([(payload, all_chunks(payload))], CHUNK)
-        framed = [body for body in plain.values() if body is not None]
-        assert framed and all(body[1] == 0 for body in framed)
-        framed = [body for body in trained.values() if body is not None]
-        assert framed and all(body[1] == 1 for body in framed)  # dictionary flag
-
-    def test_decode_resolves_dictionaries_through_its_decoder(self):
-        dictionary = serialize_entry(compressible_entry(512, seed=5))
-        codec = make_chunk_codec("zlib", dictionary=dictionary)
-        raw_chunks = chunk_payload(serialize_entry(compressible_entry(4096)), CHUNK)
-        pairs = [(encode_chunk_file(codec, [chunk]), chunk) for chunk in raw_chunks]
-        bodies = [body for body, _ in pairs if body is not None]
-        expected = [chunk for body, chunk in pairs if body is not None]
-        assert bodies
-        loads = []
-
-        def load(digest):
-            loads.append(digest)
-            return dictionary
-
-        engine = ParallelChunkEngine(
-            WORKERS, decode=lambda blob: decode_chunk_file(blob, load)
-        )
-        assert engine.decode_chunks(bodies) == expected
-        assert set(loads) == {codec.dict_digest}
-        # the default decoder has no dictionary loader to resolve the frame
-        with pytest.raises(ChunkCodecError):
-            ParallelChunkEngine(WORKERS).decode_chunks(bodies[:1])
 
 
 class TestEngineTasks:
@@ -479,57 +431,62 @@ class TestDedupComposition:
         assert report.ok and report.encoded_chunks > 0
         store.close()
 
-    def test_trained_dictionary_roundtrips_under_workers(self, tmp_path):
-        store = self.open(tmp_path)
-        for index in range(4):
-            store.put(f"k{index}", compressible_entry(2048, seed=index), stamp=index)
-        digest = store.train_codec_dictionary()
-        if digest is not None:  # corpus was rich enough to train from
-            assert store.engine.codec is store.codec
-            store.put("post", compressible_entry(2048, seed=9), stamp=9)
-            assert np.array_equal(
-                store.get("post")["x"], compressible_entry(2048, seed=9)["x"]
-            )
-            assert store.fsck().ok
-        store.close()
-
-    def write_with_dictionary(self, store, local) -> str:
-        """Put ``post`` under a trained dictionary of ``local`` (the
-        dedup store behind ``store``), close ``store`` and delete the
-        dictionary file; returns the dictionary digest."""
-        for index in range(4):
-            store.put(f"k{index}", repetitive_entry(index), stamp=index)
-        digest = local.train_codec_dictionary()
-        assert digest is not None
-        store.put("post", repetitive_entry(1, shift=5), stamp=9)
+    def corrupt_encoded_chunks(self, store, local) -> None:
+        """Put ``k``, close ``store`` and flip 8 bytes in the body of
+        every encoded chunk file of ``local`` (the dedup store behind
+        ``store``)."""
+        store.put("k", compressible_entry(4096), stamp=1)
         assert local.chunks.chunks_encoded > 0
         store.close()
-        os.unlink(os.path.join(local.chunks.dicts_dir, digest))
-        return digest
+        for digest in local.chunks.encoded_digests():
+            path = local.chunks._encoded_path(digest)
+            with open(path, "r+b") as handle:
+                handle.seek(16)
+                body = handle.read(8)
+                handle.seek(16)
+                handle.write(bytes(b ^ 0xFF for b in body))
 
     @pytest.mark.parametrize("workers", [0, WORKERS])
-    def test_missing_dictionary_is_a_store_error(self, tmp_path, workers):
+    def test_undecodable_chunk_is_a_store_error(self, tmp_path, workers):
         store = self.open(tmp_path, parallel_workers=workers)
-        digest = self.write_with_dictionary(store, store)
+        self.corrupt_encoded_chunks(store, store)
         store = self.open(tmp_path, parallel_workers=workers)
         assert (store.engine is not None) == (workers > 0)
-        with pytest.raises(KVStoreError, match=f"codec dictionary {digest}"):
-            store.get("post")
+        with pytest.raises(KVStoreError, match="chunk decode"):
+            store.get("k")
+        assert store.fsck().corrupt_chunks
         store.close()
 
-    def test_tiered_read_falls_back_to_remote_on_a_missing_dictionary(self, tmp_path):
+    def test_tiered_read_falls_back_to_remote_on_an_undecodable_chunk(self, tmp_path):
         def open_tiered():
             local = self.open(tmp_path / "local")
             remote = ShardedDiskKVStore(str(tmp_path / "remote"))
-            return local, TieredBackend(local, remote, str(tmp_path / "tier.jsonl"))
+            return local, TieredBackend(
+                local, remote, str(tmp_path / "tier.jsonl"), upload_workers=0
+            )
 
         local, store = open_tiered()
-        self.write_with_dictionary(store, local)
+        self.corrupt_encoded_chunks(store, local)
         _, store = open_tiered()
         try:
-            got = store.get("post")
-            assert np.array_equal(got["x"], repetitive_entry(1, shift=5)["x"])
+            got = store.get("k")
+            assert np.array_equal(got["x"], compressible_entry(4096)["x"])
             assert store.tier_stats()["remote_reads"] >= 1
+        finally:
+            store.close()
+
+    def test_upload_of_an_undecodable_chunk_counts_as_failed(self, tmp_path):
+        local = self.open(tmp_path / "local")
+        self.corrupt_encoded_chunks(local, local)
+        store = TieredBackend(
+            self.open(tmp_path / "local"), ShardedDiskKVStore(str(tmp_path / "remote")),
+            str(tmp_path / "tier.jsonl"), upload_workers=0, upload_max_retries=0,
+        )
+        try:
+            store.flush()  # uploads every pending key on this thread
+            assert store.tier_stats()["uploads_failed"] >= 1
+            assert store.pending_uploads() == ["k"]
+            assert not store.remote.has("k")
         finally:
             store.close()
 
